@@ -82,26 +82,28 @@ def main():
 
     impls = [("pure", _fallback)] + ([("compiled", _speedups)] if _speedups else [])
     for name, impl in impls:
-        t, _ = best_of(bench_raw(impl), args.repeat)
-        rows.append((f"raw kernel loops [{name}]", t))
+        rows.append((f"raw kernel loops [{name}]", *best_of(bench_raw(impl), args.repeat)))
 
     # the high-level workloads use whichever backend is active; flip the
     # module-level bindings to time both without re-importing
     import tatek.cyclotomic as cyc_mod
     import tatek.series as series_mod
 
-    for name, impl in impls:
-        cyc_mod.convolve, cyc_mod.monic_rem = impl.convolve, impl.monic_rem
-        series_mod.convolve = impl.convolve
-        t, _ = best_of(bench_cyclotomic(), args.repeat)
-        rows.append((f"cyclotomic arithmetic, order 60 [{name}]", t))
-        t, _ = best_of(bench_jseries(), args.repeat)
-        rows.append((f"j-expansion to q^40 [{name}]", t))
+    saved = cyc_mod.convolve, cyc_mod.monic_rem, series_mod.convolve
+    try:
+        for name, impl in impls:
+            cyc_mod.convolve, cyc_mod.monic_rem = impl.convolve, impl.monic_rem
+            series_mod.convolve = impl.convolve
+            rows.append((f"cyclotomic arithmetic, order 60 [{name}]",
+                         *best_of(bench_cyclotomic(), args.repeat)))
+            rows.append((f"j-expansion to q^40 [{name}]", *best_of(bench_jseries(), args.repeat)))
+    finally:
+        cyc_mod.convolve, cyc_mod.monic_rem, series_mod.convolve = saved
 
     width = max(len(r[0]) for r in rows)
-    print(f"{'workload'.ljust(width)}  best (s)")
-    for label, t in rows:
-        print(f"{label.ljust(width)}  {t:8.4f}")
+    print(f"{'workload'.ljust(width)}  best (s)  median (s)")
+    for label, best, median in rows:
+        print(f"{label.ljust(width)}  {best:8.4f}  {median:10.4f}")
     if _speedups:
         pure = {r[0].rsplit(" [", 1)[0]: r[1] for r in rows if "[pure]" in r[0]}
         fast = {r[0].rsplit(" [", 1)[0]: r[1] for r in rows if "[compiled]" in r[0]}

@@ -12,9 +12,9 @@ import json
 import sys
 
 from .devoto import DevotoElement, epsilon
-from .groups import SizeCapExceeded, trivial_group
-from .moonshine import (InsufficientTruncation, McKayThompson, denominator_check,
-                        dmvv_check, faber, jseries, replicability_check)
+from .groups import trivial_group
+from .moonshine import (McKayThompson, denominator_check, dmvv_check, faber, jseries,
+                        replicability_check)
 from .powerops import hecke_T, hecke_scalar, p_str, sym_str
 from .serialize import (FormatError, coeffs_from_json, devoto_from_json, devoto_to_json,
                         dumps, fraction_from_str, group_from_json, series_from_json,
@@ -22,6 +22,11 @@ from .serialize import (FormatError, coeffs_from_json, devoto_from_json, devoto_
 from .verify import SUITES, run_suites
 
 DEFAULT_SIZE_CAP = 20000
+
+
+def _at_least(value: int, low: int, flag: str) -> None:
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
 
 
 def _read_json(path: str):
@@ -93,8 +98,10 @@ def cmd_faber(args) -> int:
 
 
 def cmd_replicable(args) -> int:
+    _at_least(args.nmax, 1, "--nmax")
+    _at_least(args.order, 0, "--order")
     if args.j:
-        args.j_order = max(args.nmax * args.order, args.order + args.nmax - 1)
+        args.j_order = max(args.nmax * args.order, args.order + args.nmax - 1, 1)
     F = _input_mckay(args)
     report = replicability_check(F, args.nmax, args.order)
     payload = {"ok": report.ok,
@@ -116,6 +123,7 @@ def cmd_hecke(args) -> int:
 
 
 def cmd_sym(args) -> int:
+    _at_least(args.n, 0, "--n")
     x = _load_series_or_element(args, args.size_cap)
     if not isinstance(x, DevotoElement):
         x = DevotoElement.constant(trivial_group(), x)
@@ -127,6 +135,7 @@ def cmd_sym(args) -> int:
 def cmd_powerop(args) -> int:
     from .wreath import wreath
 
+    _at_least(args.n, 1, "--n")
     x = _load_series_or_element(args, args.size_cap)
     if not isinstance(x, DevotoElement):
         x = DevotoElement.constant(trivial_group(), x)
@@ -262,13 +271,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, InsufficientTruncation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SizeCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # FormatError, InsufficientTruncation, SizeCapExceeded too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

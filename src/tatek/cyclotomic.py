@@ -2,12 +2,16 @@
 
 An element of Q(zeta_N) is stored reduced in the power basis of
 Q[x]/Phi_N(x), as a sparse map {exponent: Fraction} with exponents below
-phi(N). Canonical form is unique: zero coefficients are dropped, rational
-values normalize to order 1, and orders congruent to 2 mod 4 normalize to
-their odd half (so zeta_6 and 1 + zeta_3 coincide verbatim). Operands of
-different orders are embedded into the lcm order before arithmetic, and
-equality compares through the same embedding, so it is decidable across
-orders. Everything is immutable and exact; there are no floats anywhere.
+phi(N). The stored form is unique for a given order: zero coefficients
+are dropped, rational values normalize to order 1, and orders congruent
+to 2 mod 4 normalize to their odd half (so zeta_6 and 1 + zeta_3 coincide
+verbatim). It is not unique across orders: a value of a proper subfield
+that comes out of arithmetic at a larger order keeps that order (zeta_3 *
+zeta_4 * zeta_3^2 is stored at order 12, zeta_4 at order 4), so equal
+values can print and serialize differently. Operands of different orders
+are embedded into the lcm order before arithmetic, and equality compares
+through the same embedding, so it is decidable across orders. Everything
+is immutable and exact; there are no floats anywhere.
 """
 
 from __future__ import annotations

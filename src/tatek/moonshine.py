@@ -67,19 +67,17 @@ def _sigma(power: int, n: int) -> int:
 def jseries(order: int) -> McKayThompson:
     """q-expansion of j - 744 to the given order, from E4^3 over the
     discriminant (all coefficients come out of this expansion; nothing is
-    looked up)."""
+    looked up).
+
+    Delta/q = prod (1 - q^n)^24 is computed as the exp of its logarithm,
+    -24 sum_n sigma_1(n) q^n / n, and inverted by the series recurrence.
+    """
     if order < 1:
         raise ValueError("order must be positive")
     T = order + 1
     e4 = PuiseuxSeries({0: 1, **{n: 240 * _sigma(3, n) for n in range(1, T + 1)}}, T)
-    # Delta / q = prod (1-q^n)^24
-    delta_over_q = PuiseuxSeries.one(T)
-    for n in range(1, T + 1):
-        factor = PuiseuxSeries({0: 1, n: -1}, T)
-        sq = factor * factor
-        quart = sq * sq
-        eighth = quart * quart
-        delta_over_q = delta_over_q * (eighth * eighth * eighth)
+    delta_over_q = PuiseuxSeries(
+        {n: Fraction(-24 * _sigma(1, n), n) for n in range(1, T + 1)}, T).exp()
     j = e4 * e4 * e4 * delta_over_q.inv() * PuiseuxSeries.monomial(1, -1) - 744
     j = j.truncated(order)
     for e, c in j.terms.items():
@@ -90,7 +88,9 @@ def jseries(order: int) -> McKayThompson:
 
 def jseries_consistency(order: int) -> ComparisonReport:
     """Independent cross-check of the expansion: Delta times j equals
-    E4^3 exactly to the truncation."""
+    E4^3 exactly to the truncation. Delta here is the product
+    q prod (1 - q^n)^24 by 24-fold repeated multiplication, not the exp of
+    the sigma_1 series that `jseries` uses."""
     T = order + 1
     e4 = PuiseuxSeries({0: 1, **{n: 240 * _sigma(3, n) for n in range(1, T + 1)}}, T)
     delta = PuiseuxSeries.one(T)

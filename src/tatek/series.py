@@ -8,6 +8,11 @@ always correct to its recorded order. A BivariateSeries layers a dummy
 variable t on top, with integer t-degrees and PuiseuxSeries coefficients;
 exp/log/inverse on it are t-adic.
 
+PuiseuxSeries exp/log/inverse run as O(N^2) coefficient recurrences on
+the exponent lattice (1/d)Z (Knuth, TAOCP vol. 2, section 4.7): with a
+the input and b the result, inverse solves sum a_i b_{k-i} = [k = 0], and
+exp and log come from the logarithmic derivative, k b_k = sum i a_i b_{k-i}.
+
 All values are immutable and all operations pure, so anything here can be
 shared freely across threads.
 """
@@ -15,7 +20,7 @@ shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 from typing import Mapping, Union
 
 from ._kernel import convolve
@@ -119,13 +124,13 @@ class PuiseuxSeries:
         for e, c in other.terms.items():
             s = out.get(e)
             out[e] = c if s is None else s + c
-        return PuiseuxSeries(out, _min_trunc(self.truncation, other.truncation))
+        return _series(out, _min_trunc(self.truncation, other.truncation))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self) -> "PuiseuxSeries":
-        return PuiseuxSeries({e: -c for e, c in self.terms.items()}, self.truncation)
+        return _series({e: -c for e, c in self.terms.items()}, self.truncation)
 
     def __sub__(self, other):
         other = _coerce_series(other)
@@ -140,8 +145,8 @@ class PuiseuxSeries:
         if isinstance(other, (int, Fraction, Cyclotomic)):
             c = _as_coeff(other)
             if c.is_zero():
-                return PuiseuxSeries({}, self.truncation)
-            return PuiseuxSeries({e: x * c for e, x in self.terms.items()}, self.truncation)
+                return _series({}, self.truncation)
+            return _series({e: x * c for e, x in self.terms.items()}, self.truncation)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         trunc = self._product_truncation(other)
@@ -157,7 +162,7 @@ class PuiseuxSeries:
                 c = ca * cb
                 s = out.get(e)
                 out[e] = c if s is None else s + c
-        return PuiseuxSeries(out, trunc)
+        return _series(out, trunc)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -180,7 +185,8 @@ class PuiseuxSeries:
     # -- analytic operations (truncated) -----------------------------
 
     def exp(self) -> "PuiseuxSeries":
-        """exp of a series with strictly positive valuation."""
+        """exp of a series with strictly positive valuation:
+        b_0 = 1, k b_k = sum_{i=1..k} i a_i b_{k-i}."""
         if self.is_zero():
             return PuiseuxSeries.one(self.truncation)
         v = self.valuation()
@@ -188,56 +194,64 @@ class PuiseuxSeries:
             raise ValueError("exp needs every exponent positive (zero constant term)")
         if self.truncation is None:
             raise ValueError("exp of an untruncated series does not terminate")
-        out = PuiseuxSeries.one(self.truncation)
-        term = PuiseuxSeries.one(self.truncation)
-        k = 0
-        while term.valuation() is not None and k * v <= self.truncation:
-            k += 1
-            term = (term * self) * Fraction(1, k)
-            out = out + term
-        return out
+        d, a, zero = self._lattice()
+        weighted = [(i, i * ai) for i, ai in enumerate(a) if ai]
+        b = [zero + 1] + [zero] * (len(a) - 1)
+        for k in range(1, len(a)):
+            b[k] = _dot(weighted, b, k, zero) * Fraction(1, k)
+        return _from_lattice(d, b, self.truncation)
 
     def log(self) -> "PuiseuxSeries":
-        """log of a series with constant term 1 and no negative exponents."""
+        """log of a series with constant term 1 and no negative exponents:
+        k g_k = k a_k - sum_{i=1..k-1} i g_i a_{k-i}."""
         v = self.valuation()
         if self.coefficient(0) != Cyclotomic.one() or v is None or v < 0:
             raise ValueError("log needs constant term 1")
-        u = self - 1
-        if u.is_zero():
+        if len(self.terms) == 1:
             return PuiseuxSeries.zero(self.truncation)
         if self.truncation is None:
             raise ValueError("log of an untruncated series does not terminate")
-        v = u.valuation()
-        out = PuiseuxSeries.zero(self.truncation)
-        term = PuiseuxSeries.one(self.truncation)
-        k = 0
-        while term.valuation() is not None and k * v <= self.truncation:
-            k += 1
-            term = term * u
-            out = out + term * Fraction((-1) ** (k - 1), k)
-        return out
+        d, a, zero = self._lattice()
+        higher = [(i, ai) for i, ai in enumerate(a) if i and ai]
+        g = [zero] * len(a)
+        weighted = [zero] * len(a)  # weighted[i] = i g_i
+        for k in range(1, len(a)):
+            weighted[k] = k * a[k] - _dot(higher, weighted, k, zero)
+            g[k] = weighted[k] * Fraction(1, k)
+        return _from_lattice(d, g, self.truncation)
 
     def inv(self) -> "PuiseuxSeries":
         """Multiplicative inverse of a series with invertible constant term
-        and valuation zero."""
+        and valuation zero: b_0 = 1/a_0,
+        b_k = -(1/a_0) sum_{i=1..k} a_i b_{k-i}."""
         c0 = self.coefficient(0)
         if c0.is_zero() or self.valuation() != 0:
             raise ValueError("inverse needs lowest exponent 0 with an invertible constant")
-        c0_inv = c0.inverse()
-        u = self * c0_inv - 1
-        if u.is_zero():
-            return PuiseuxSeries({0: c0_inv}, self.truncation)
+        if len(self.terms) == 1:
+            return _series({Fraction(0): c0.inverse()}, self.truncation)
         if self.truncation is None:
             raise ValueError("inverse of an untruncated series does not terminate")
-        v = u.valuation()
-        out = PuiseuxSeries.one(self.truncation)
-        term = PuiseuxSeries.one(self.truncation)
-        k = 0
-        while term.valuation() is not None and k * v <= self.truncation:
-            k += 1
-            term = term * u
-            out = out + term * Fraction((-1) ** k)
-        return out * c0_inv
+        d, a, zero = self._lattice()
+        b = [1 / a[0]] + [zero] * (len(a) - 1)
+        scale = -b[0]
+        higher = [(i, ai) for i, ai in enumerate(a) if i and ai]
+        for k in range(1, len(a)):
+            b[k] = scale * _dot(higher, b, k, zero)
+        return _from_lattice(d, b, self.truncation)
+
+    def _lattice(self) -> tuple[int, list, Fraction | Cyclotomic]:
+        """(d, a, zero) with a[k] the coefficient of q^(k/d) for
+        k = 0 .. floor(truncation * d), d the exponent denominator. The
+        entries are Fractions when every coefficient is rational and
+        Cyclotomics otherwise; zero is the zero of that type. Exponents
+        must be nonnegative."""
+        d = self.denominator
+        rational = all(c.order == 1 for c in self.terms.values())
+        zero = Fraction(0) if rational else Cyclotomic.zero()
+        a = [zero] * (floor(self.truncation * d) + 1)
+        for e, c in self.terms.items():
+            a[int(e * d)] = c.as_fraction() if rational else c
+        return d, a, zero
 
     # -- comparison --------------------------------------------------
 
@@ -274,6 +288,34 @@ def _coerce_series(value) -> PuiseuxSeries:
     return NotImplemented
 
 
+def _series(terms: dict[Fraction, Cyclotomic], trunc: Fraction | None) -> PuiseuxSeries:
+    """A series from Fraction exponents and Cyclotomic coefficients that
+    need no normalisation: only zeros and terms above trunc are dropped."""
+    if trunc is None:
+        tidy = {e: c for e, c in terms.items() if c.terms}
+    else:
+        tidy = {e: c for e, c in terms.items() if c.terms and e <= trunc}
+    obj = object.__new__(PuiseuxSeries)
+    object.__setattr__(obj, "terms", tidy)
+    object.__setattr__(obj, "truncation", trunc)
+    return obj
+
+
+def _dot(pairs: list, b: list, k: int, zero):
+    """Sum of c * b[k - i] over the (i, c) in pairs (ascending in i) with
+    i <= k."""
+    acc = zero
+    for i, c in pairs:
+        if i > k:
+            break
+        acc = acc + c * b[k - i]
+    return acc
+
+
+def _from_lattice(d: int, values: list, trunc: Fraction) -> PuiseuxSeries:
+    return _series({Fraction(k, d): _as_coeff(c) for k, c in enumerate(values) if c}, trunc)
+
+
 def _dense_rational_product(a: PuiseuxSeries, b: PuiseuxSeries, trunc):
     """Multiply two dense rational-coefficient series with integral
     exponents through the integer convolution kernel; None when the
@@ -306,14 +348,10 @@ def _dense_rational_product(a: PuiseuxSeries, b: PuiseuxSeries, trunc):
     conv = convolve(na, nb)
     den = da * db
     base = va + vb
-    out = {}
-    for i, n in enumerate(conv):
-        if n:
-            e = Fraction(base + i)
-            if trunc is not None and e > trunc:
-                continue
-            out[e] = Cyclotomic.from_rational(Fraction(n, den))
-    return PuiseuxSeries(out, trunc)
+    if trunc is not None:
+        conv = conv[:max(floor(trunc) - base + 1, 0)]
+    return _series({Fraction(base + i): Cyclotomic.from_rational(Fraction(n, den))
+                    for i, n in enumerate(conv) if n}, trunc)
 
 
 def hecke_substitute(s: PuiseuxSeries, n: int, k: int, m: int) -> PuiseuxSeries:

@@ -119,3 +119,13 @@ def test_rational_values_normalize_to_order_one():
     total = sum((cyc_make(5, k) for k in range(1, 5)), Cyclotomic.zero())
     assert total == -1 and total.order == 1
     assert (z ** 5).order == 1
+
+
+def test_equality_crosses_stored_orders():
+    # zeta_3 * zeta_4 * zeta_3^2 is zeta_4, but arithmetic leaves it stored
+    # at order 12; equality still holds through the lcm embedding
+    x = cyc_make(3, 1) * cyc_make(4, 1) * cyc_make(3, 2)
+    i = cyc_make(4, 1)
+    assert x == i and i == x
+    assert (x.order, i.order) == (12, 4)
+    assert x - i == 0

@@ -159,6 +159,26 @@ def test_cli_exit_codes(tmp_path):
     assert out.returncode == 1
 
 
+def test_cli_rejects_out_of_range_degrees(tmp_path):
+    # bad integer arguments are usage errors: exit 2 and a one-line message
+    x = tmp_path / "x.json"
+    x.write_text(dumps(series_to_json(PuiseuxSeries({1: 1}, 4))))
+    cases = [("sym", "--n", "-1", "--input", str(x)),
+             ("replicable", "--nmax", "0", "--order", "3", "--j"),
+             ("replicable", "--nmax", "2", "--order", "-1", "--j"),
+             ("powerop", "--n", "0", "--input", str(x))]
+    for argv in cases:
+        out = run_cli(*argv)
+        assert out.returncode == 2, argv
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+
+
+def test_cli_replicable_order_zero_with_j():
+    out = run_cli("replicable", "--nmax", "1", "--order", "0", "--j")
+    assert out.returncode == 0 and json.loads(out.stdout)["ok"] is True
+
+
 def test_cli_dmvv_and_denominator(tmp_path):
     c = tmp_path / "c.json"
     c.write_text(dumps(coeffs_to_json({1: 1, 2: -1})))

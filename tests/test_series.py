@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tatek.cyclotomic import Cyclotomic, root_of_unity
+from tatek.serialize import dumps, series_to_json
 from tatek.series import BivariateSeries, PuiseuxSeries, hecke_substitute, scale_exponents
 
 q = PuiseuxSeries.monomial(1, 1)
@@ -141,6 +142,146 @@ def test_inverse_with_cyclotomic_unit_constant():
     c = root_of_unity(5, 2) + 1
     s = PuiseuxSeries({0: c, 1: 1}, 4)
     assert (s * s.inv()).agrees_with(PuiseuxSeries.one(4))
+
+
+# -- differential oracle: the recurrences against geometric series --------
+#
+# The oracle is the earlier implementation of exp/log/inverse: one full
+# series product per degree, summing the exponential, logarithmic and
+# geometric series term by term.
+
+
+def geometric_exp(s):
+    if s.is_zero():
+        return PuiseuxSeries.one(s.truncation)
+    v = s.valuation()
+    out = PuiseuxSeries.one(s.truncation)
+    term = PuiseuxSeries.one(s.truncation)
+    k = 0
+    while term.valuation() is not None and k * v <= s.truncation:
+        k += 1
+        term = (term * s) * Fraction(1, k)
+        out = out + term
+    return out
+
+
+def geometric_log(s):
+    u = s - 1
+    if u.is_zero():
+        return PuiseuxSeries.zero(s.truncation)
+    v = u.valuation()
+    out = PuiseuxSeries.zero(s.truncation)
+    term = PuiseuxSeries.one(s.truncation)
+    k = 0
+    while term.valuation() is not None and k * v <= s.truncation:
+        k += 1
+        term = term * u
+        out = out + term * Fraction((-1) ** (k - 1), k)
+    return out
+
+
+def geometric_inv(s):
+    c0_inv = s.coefficient(0).inverse()
+    u = s * c0_inv - 1
+    if u.is_zero():
+        return PuiseuxSeries({0: c0_inv}, s.truncation)
+    v = u.valuation()
+    out = PuiseuxSeries.one(s.truncation)
+    term = PuiseuxSeries.one(s.truncation)
+    k = 0
+    while term.valuation() is not None and k * v <= s.truncation:
+        k += 1
+        term = term * u
+        out = out + term * Fraction((-1) ** k)
+    return out * c0_inv
+
+
+ANALYTIC = {"exp": (PuiseuxSeries.exp, geometric_exp),
+            "log": (PuiseuxSeries.log, geometric_log),
+            "inv": (PuiseuxSeries.inv, geometric_inv)}
+
+rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def cyclotomics(draw, orders):
+    order = draw(st.sampled_from(orders))
+    terms = {draw(st.integers(0, order - 1)): draw(rationals) for _ in range(draw(st.integers(1, 2)))}
+    return Cyclotomic(order, terms)
+
+
+@st.composite
+def analytic_input(draw, op, kind):
+    """A truncated series fit for op: positive exponents with
+    denominators up to 3, plus a constant term (1 for log, a nonzero
+    value for inv); the truncation need not lie on the exponent lattice.
+    kind picks the coefficients: rational, one cyclotomic order, or a
+    mix of orders."""
+    if kind == "rational":
+        coeffs = rationals
+    elif kind == "cyclotomic":
+        coeffs = cyclotomics((draw(st.sampled_from((3, 4, 5, 8, 12))),))
+    else:
+        coeffs = cyclotomics((1, 3, 4, 6))
+    den = draw(st.integers(1, 3))
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        e = Fraction(draw(st.integers(1, 4 * den)), den)
+        terms[e] = draw(coeffs)
+    if op == "log":
+        terms[0] = 1
+    elif op == "inv":
+        terms[0] = draw(coeffs.filter(bool))
+    trunc = Fraction(draw(st.integers(1, 12)), draw(st.integers(2, 4)))
+    return PuiseuxSeries(terms, trunc)
+
+
+@pytest.mark.parametrize("op", sorted(ANALYTIC))
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_recurrences_match_geometric_series(op, data):
+    s = data.draw(analytic_input(op, data.draw(st.sampled_from(("rational", "cyclotomic")))))
+    fast, slow = ANALYTIC[op]
+    got, want = fast(s), slow(s)
+    assert got == want
+    assert dumps(series_to_json(got)) == dumps(series_to_json(want))
+
+
+@pytest.mark.parametrize("op", sorted(ANALYTIC))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_recurrences_match_geometric_series_across_orders(op, data):
+    # values are equal; the stored cyclotomic order of a coefficient may
+    # differ with the order of operations, so bytes are not compared
+    s = data.draw(analytic_input(op, "mixed"))
+    fast, slow = ANALYTIC[op]
+    assert fast(s) == slow(s)
+
+
+@pytest.mark.parametrize("op", sorted(ANALYTIC))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_analytic_truncation_is_sound(op, data):
+    s = data.draw(analytic_input(op, "rational"))
+    top = s.truncation + data.draw(st.integers(1, 3))
+    above = {s.truncation + Fraction(data.draw(st.integers(1, 12)), 4): data.draw(rationals)
+             for _ in range(data.draw(st.integers(1, 4)))}
+    extended = PuiseuxSeries({**s.terms, **above}, top)
+    fast = ANALYTIC[op][0]
+    result = fast(s)
+    assert fast(extended).agrees_with(result, up_to=result.truncation)
+
+
+def test_exp_log_inverse_shortcuts_keep_truncation():
+    assert PuiseuxSeries.one(Fraction(7, 3)).log() == PuiseuxSeries.zero(Fraction(7, 3))
+    assert PuiseuxSeries({0: 2}, 3).inv() == PuiseuxSeries({0: Fraction(1, 2)}, 3)
+    assert PuiseuxSeries({0: 2}).inv() == PuiseuxSeries({0: Fraction(1, 2)})
+    with pytest.raises(ValueError, match="untruncated"):
+        PuiseuxSeries({0: 1, 1: 1}).inv()
+    with pytest.raises(ValueError, match="untruncated"):
+        PuiseuxSeries({1: 1}).exp()
+    with pytest.raises(ValueError, match="untruncated"):
+        PuiseuxSeries({0: 1, 1: 1}).log()
 
 
 # -- bivariate ----------------------------------------------------------
