@@ -1,4 +1,12 @@
-"""Pure-Python kernel, reference implementation for the compiled one."""
+"""Arithmetic kernel: integer-coefficient convolution and monic remainder.
+
+These two loops sit under every cyclotomic multiplication and hence under
+all series arithmetic. Plain Python ints throughout, so there is no
+overflow anywhere.
+"""
+
+#: Kernel implementation name; `perfbench/run.py` stamps it on every run.
+BACKEND = "pure"
 
 
 def convolve(a, b):
@@ -33,3 +41,6 @@ def monic_rem(c, f):
     del r[deg_f:]
     r.extend([0] * (deg_f - len(r)))
     return r
+
+
+__all__ = ["convolve", "monic_rem", "BACKEND"]

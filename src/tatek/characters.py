@@ -17,10 +17,10 @@ from typing import Callable, Mapping
 
 from .cyclotomic import Cyclotomic, root_of_unity
 from .devoto import DevotoElement
-from .groups import FiniteGroup
+from .groups import DEFAULT_SIZE_CAP, FiniteGroup, cycles_of, identity_perm
 from .powerops import VerificationReport, compare_class_functions, p_str
 from .series import PuiseuxSeries
-from .wreath import WreathElement, WreathGroup, wreath
+from .wreath import WreathElement, WreathGroup, cycle_product, wreath, wreath_ops
 
 
 def _as_cyc(v) -> Cyclotomic:
@@ -113,22 +113,41 @@ class RepCharacter:
 # -- eigenspace projections ---------------------------------------------
 
 
-def eigen_multiplicity(chi: RepCharacter, g, j: int) -> int:
-    """Multiplicity of the eigenvalue exp(2*pi*i*j/|g|) of g acting on
-    the representation with character chi."""
-    l = chi.group.order_of(g)
-    if not 0 <= j < l:
-        raise ValueError(f"eigenvalue exponent {j} outside [0, {l})")
+def _powers(mul, identity, x) -> list:
+    """identity, x, x^2, ..., up to the last power before the identity."""
+    out = [identity]
+    p = x
+    while p != identity:
+        out.append(p)
+        p = mul(p, x)
+    return out
+
+
+def _eigen_count(values: list[Cyclotomic], zeta_inv: Cyclotomic) -> int:
+    """The orthogonality projection (1/L) sum_s values[s] zeta^-s, where
+    values[s] is a character at x^s for an element x of order L: the
+    multiplicity of zeta as an eigenvalue of x. Raises unless integral."""
     acc = Cyclotomic.zero()
-    x = chi.group.identity
-    for s in range(l):
-        acc = acc + chi.value(x) * root_of_unity(l, -j * s)
-        x = chi.group.mul(x, g)
-    acc = acc * Fraction(1, l)
+    power = Cyclotomic.one()
+    for v in values:
+        acc = acc + v * power
+        power = power * zeta_inv
+    acc = acc * Fraction(1, len(values))
     if not acc.is_rational() or acc.as_fraction().denominator != 1:
         raise ValueError(f"non-integral eigenspace multiplicity {acc}; "
                          "the character is not genuine on this cyclic group")
-    m = int(acc.as_fraction())
+    return int(acc.as_fraction())
+
+
+def eigen_multiplicity(chi: RepCharacter, g, j: int) -> int:
+    """Multiplicity of the eigenvalue exp(2*pi*i*j/|g|) of g acting on
+    the representation with character chi."""
+    G = chi.group
+    l = G.order_of(g)
+    if not 0 <= j < l:
+        raise ValueError(f"eigenvalue exponent {j} outside [0, {l})")
+    m = _eigen_count([chi.value(x) for x in _powers(G.mul, G.identity, g)],
+                     root_of_unity(l, -j))
     if m < 0:
         raise ValueError(f"negative eigenspace multiplicity {m}")
     return m
@@ -136,21 +155,11 @@ def eigen_multiplicity(chi: RepCharacter, g, j: int) -> int:
 
 def eigen_multiplicity_root(chi: RepCharacter, g, zeta: Cyclotomic) -> int:
     """Multiplicity of an arbitrary root of unity as an eigenvalue of g."""
-    l = chi.group.order_of(g)
-    if not (zeta ** l == Cyclotomic.one()):
+    G = chi.group
+    if not (zeta ** G.order_of(g) == Cyclotomic.one()):
         return 0
-    acc = Cyclotomic.zero()
-    x = chi.group.identity
-    zeta_inv = zeta.inverse()
-    power = Cyclotomic.one()
-    for s in range(l):
-        acc = acc + chi.value(x) * power
-        x = chi.group.mul(x, g)
-        power = power * zeta_inv
-    acc = acc * Fraction(1, l)
-    if not acc.is_rational() or acc.as_fraction().denominator != 1:
-        raise ValueError(f"non-integral multiplicity {acc}")
-    return int(acc.as_fraction())
+    return _eigen_count([chi.value(x) for x in _powers(G.mul, G.identity, g)],
+                        zeta.inverse())
 
 
 def age(chi: RepCharacter, g, doubled: bool = False) -> Fraction:
@@ -209,23 +218,7 @@ def _lambda_at_minus_one(power_sum: Callable[[int], Cyclotomic], dim: int) -> Cy
 # -- wreath characters -----------------------------------------------------
 
 
-def wreath_sum_character(chi: RepCharacter, n: int,
-                         wreath_group: WreathGroup | None = None) -> RepCharacter:
-    """Character of the n-fold permutation-twisted direct sum: the value
-    at (g, sigma) sums chi over the entries at fixed points of sigma."""
-    G = chi.group
-    W = wreath_group if wreath_group is not None else wreath(G, n)
-    values = {}
-    for w in W.class_representatives():
-        acc = Cyclotomic.zero()
-        for i, image in enumerate(w.perm):
-            if image == i:
-                acc = acc + chi.value(w.base[i])
-        values[w] = acc
-    return RepCharacter(W, values)
-
-
-def _wreath_value(G: FiniteGroup, chi: RepCharacter, w: WreathElement) -> Cyclotomic:
+def _wreath_value(chi: RepCharacter, w: WreathElement) -> Cyclotomic:
     acc = Cyclotomic.zero()
     for i, image in enumerate(w.perm):
         if image == i:
@@ -233,48 +226,30 @@ def _wreath_value(G: FiniteGroup, chi: RepCharacter, w: WreathElement) -> Cyclot
     return acc
 
 
+def wreath_sum_character(chi: RepCharacter, n: int,
+                         wreath_group: WreathGroup | None = None) -> RepCharacter:
+    """Character of the n-fold permutation-twisted direct sum: the value
+    at (g, sigma) sums chi over the entries at fixed points of sigma."""
+    W = wreath_group if wreath_group is not None else wreath(chi.group, n)
+    return RepCharacter(W, {w: _wreath_value(chi, w) for w in W.class_representatives()})
+
+
 def eigen_cycle_check(chi: RepCharacter, base, perm, zeta: Cyclotomic):
     """Compare the multiplicity of zeta as an eigenvalue of (base, perm)
     on the twisted sum against the sum over k-cycles of the multiplicity
     of zeta^k for the cycle product. Returns (equal, lhs, rhs)."""
-    from .groups import cycles_of, perm_inv, perm_mul
-
     G = chi.group
     n = len(perm)
-    w = WreathElement(tuple(base), tuple(perm))
-
-    def wmul(a: WreathElement, b: WreathElement) -> WreathElement:
-        sig_inv = perm_inv(a.perm)
-        return WreathElement(tuple(G.mul(a.base[i], b.base[sig_inv[i]]) for i in range(n)),
-                             perm_mul(a.perm, b.perm))
-
-    e = WreathElement((G.identity,) * n, tuple(range(n)))
-    powers = [e]
-    x = w
-    while x != e:
-        powers.append(x)
-        x = wmul(x, w)
-    L = len(powers)
-    if not (zeta ** L == Cyclotomic.one()):
-        lhs = 0
-    else:
-        acc = Cyclotomic.zero()
-        zeta_inv = zeta.inverse()
-        zp = Cyclotomic.one()
-        for s in range(L):
-            acc = acc + _wreath_value(G, chi, powers[s]) * zp
-            zp = zp * zeta_inv
-        acc = acc * Fraction(1, L)
-        if not acc.is_rational() or acc.as_fraction().denominator != 1:
-            raise ValueError(f"non-integral multiplicity {acc}")
-        lhs = int(acc.as_fraction())
-
+    mul, _ = wreath_ops(G, n)
+    e = WreathElement((G.identity,) * n, identity_perm(n))
+    powers = _powers(mul, e, WreathElement(tuple(base), tuple(perm)))
+    lhs = 0
+    if zeta ** len(powers) == Cyclotomic.one():
+        lhs = _eigen_count([_wreath_value(chi, x) for x in powers], zeta.inverse())
     rhs = 0
     for cycle in cycles_of(perm):
-        prod = G.identity
-        for point in cycle:
-            prod = G.mul(base[point], prod)
-        rhs += eigen_multiplicity_root(chi, prod, zeta ** len(cycle))
+        rhs += eigen_multiplicity_root(chi, cycle_product(G, base, cycle),
+                                       zeta ** len(cycle))
     return lhs == rhs, lhs, rhs
 
 
@@ -295,9 +270,7 @@ def euler_str(chi: RepCharacter, q_order) -> DevotoElement:
     table = {}
     for (g, h) in G.commuting_pair_classes():
         l = G.order_of(g)
-        g_powers = [G.identity]
-        for _ in range(l - 1):
-            g_powers.append(G.mul(g_powers[-1], g))
+        g_powers = _powers(G.mul, G.identity, g)
 
         h_powers = {0: G.identity}
 
@@ -343,7 +316,7 @@ def euler_str(chi: RepCharacter, q_order) -> DevotoElement:
 
 
 def verify_hinfty(chi: RepCharacter, n: int, q_order,
-                  size_cap: int = 20000) -> VerificationReport:
+                  size_cap: int = DEFAULT_SIZE_CAP) -> VerificationReport:
     """Euler class of the twisted sum against the power operation of the
     Euler class; exact to the stated q-order."""
     G = chi.group

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .devoto import DevotoElement, epsilon
-from .groups import trivial_group
+from .groups import DEFAULT_SIZE_CAP, trivial_group
 from .moonshine import (McKayThompson, denominator_check, dmvv_check, faber, jseries,
                         replicability_check)
 from .powerops import hecke_T, hecke_scalar, p_str, sym_str
@@ -20,8 +20,6 @@ from .serialize import (FormatError, coeffs_from_json, devoto_from_json, devoto_
                         dumps, fraction_from_str, group_from_json, series_from_json,
                         series_to_json)
 from .verify import SUITES, run_suites
-
-DEFAULT_SIZE_CAP = 20000
 
 
 def _at_least(value: int, low: int, flag: str) -> None:
@@ -62,10 +60,6 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _series_text(s) -> str:
-    return repr(s)
-
-
 def _devoto_text(x: DevotoElement) -> str:
     lines = [f"element over {x.group.name}, level {x.level}"]
     for (g, h), s in x.table.items():
@@ -75,7 +69,7 @@ def _devoto_text(x: DevotoElement) -> str:
 
 def cmd_jseries(args) -> int:
     F = jseries(args.order)
-    _emit(args, series_to_json(F.series), _series_text(F.series))
+    _emit(args, series_to_json(F.series), repr(F.series))
     return 0
 
 
@@ -118,7 +112,7 @@ def cmd_hecke(args) -> int:
         _emit(args, devoto_to_json(out), _devoto_text(out))
     else:
         out = hecke_scalar(x, args.n)
-        _emit(args, series_to_json(out), _series_text(out))
+        _emit(args, series_to_json(out), repr(out))
     return 0
 
 
@@ -149,7 +143,7 @@ def cmd_epsilon(args) -> int:
     if not isinstance(x, DevotoElement):
         raise FormatError("epsilon needs an element table (with a group)")
     out = epsilon(x)
-    _emit(args, series_to_json(out), _series_text(out))
+    _emit(args, series_to_json(out), repr(out))
     return 0
 
 

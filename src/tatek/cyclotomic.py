@@ -410,40 +410,34 @@ def _solve_columns(cols, target):
     return sol
 
 
+def _trim(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and (trimmed) remainder of a by b in Q[x]; b has a nonzero
+    leading coefficient."""
+    a = list(a)
+    db = len(b) - 1
+    q = [Fraction(0)] * max(len(a) - db, 0)
+    while len(a) - 1 >= db and a:
+        t = a[-1] / b[-1]
+        q[len(a) - 1 - db] = t
+        for i in range(db + 1):
+            a[len(a) - 1 - db + i] -= t * b[i]
+        _trim(a)
+    return q, a
+
+
 def _poly_inverse_mod(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
     """Inverse of f modulo g in Q[x] (g the defining polynomial)."""
-
-    def trim(p):
-        while p and not p[-1]:
-            p.pop()
-        return p
-
-    def polymod(a, b):
-        a = list(a)
-        db = len(b) - 1
-        while len(a) - 1 >= db and a:
-            t = a[-1] / b[-1]
-            for i in range(db + 1):
-                a[len(a) - 1 - db + i] -= t * b[i]
-            trim(a)
-        return a
-
-    r0, r1 = list(g), trim(list(f))
+    r0, r1 = g, _trim(list(f))
     s0, s1 = [], [Fraction(1)]
     while r1:
-        # divide r0 by r1
-        q = []
-        a = list(r0)
-        db = len(r1) - 1
-        qlen = max(len(a) - db, 0)
-        q = [Fraction(0)] * qlen
-        while len(a) - 1 >= db and a:
-            t = a[-1] / r1[-1]
-            q[len(a) - 1 - db] = t
-            for i in range(db + 1):
-                a[len(a) - 1 - db + i] -= t * r1[i]
-            trim(a)
-        r0, r1 = r1, a
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
         # s_{k+1} = s_{k-1} - q s_k
         qs = [Fraction(0)] * (len(q) + len(s1) - 1) if q and s1 else []
         for i, qi in enumerate(q):
@@ -455,10 +449,9 @@ def _poly_inverse_mod(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
             new_s[i] += c
         for i, c in enumerate(qs):
             new_s[i] -= c
-        s0, s1 = s1, trim(new_s)
+        s0, s1 = s1, _trim(new_s)
     if len(r0) != 1:
         raise ZeroDivisionError("value is not invertible (shares a factor with the modulus)")
     c = r0[0]
-    inv = [x / c for x in s0]
-    inv = polymod(inv, g)
+    _, inv = _poly_divmod([x / c for x in s0], g)
     return inv + [Fraction(0)] * (len(g) - 1 - len(inv))

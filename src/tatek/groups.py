@@ -154,9 +154,6 @@ class FiniteGroup:
         """a g a^-1."""
         return self.mul(self.mul(a, g), self.inv(a))
 
-    def is_abelian(self) -> bool:
-        return all(h == self.conjugate(a, h) for h in self.elements for a in self.elements)
-
     # -- conjugacy ----------------------------------------------------
 
     def _conjugacy_data(self):
@@ -367,24 +364,3 @@ class Homomorphism:
 
 def identity_hom(G: FiniteGroup) -> Homomorphism:
     return Homomorphism(G, G, {g: g for g in G.elements}, check=False)
-
-
-def hom_from_generator_images(source: FiniteGroup, target: FiniteGroup,
-                              images: dict) -> Homomorphism:
-    """Extend images of a generating subset to all of the (small) source
-    group by closure; fails if the images are inconsistent."""
-    table = {source.identity: target.identity}
-    table.update(images)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(table):
-            for b in list(table):
-                c = source.mul(a, b)
-                img = target.mul(table[a], table[b])
-                if c not in table:
-                    table[c] = img
-                    changed = True
-                elif table[c] != img:
-                    raise ValueError("generator images are inconsistent")
-    return Homomorphism(source, target, table)

@@ -19,10 +19,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .devoto import DevotoElement, restrict_along
-from .groups import FiniteGroup, symmetric_group
+from .groups import DEFAULT_SIZE_CAP, FiniteGroup, symmetric_group
 from .series import BivariateSeries, PuiseuxSeries, hecke_substitute, scale_exponents
 from .wreath import (MINIMAL_CONVENTION, OrbitConvention, WreathElement, WreathGroup,
-                     cycles_of, iota_hom, orbit_data, wreath)
+                     cycle_product, cycles_of, iota_hom, orbit_data, wreath)
 
 
 class TransitiveClass(NamedTuple):
@@ -58,9 +58,7 @@ def p_top_eval(G: FiniteGroup, x, w: WreathElement) -> PuiseuxSeries:
         raise ValueError("malformed wreath element")
     out = PuiseuxSeries.one()
     for cycle in cycles_of(perm):
-        prod = G.identity
-        for point in cycle:
-            prod = G.mul(base[point], prod)
+        prod = cycle_product(G, base, cycle)
         if isinstance(x, PuiseuxSeries):
             value = x
         else:
@@ -294,7 +292,7 @@ def compare_class_functions(a: DevotoElement, b: DevotoElement, label: str = "",
 
 
 def verify_iterated(x: DevotoElement, n: int, m: int,
-                    size_cap: int = 20000) -> VerificationReport:
+                    size_cap: int = DEFAULT_SIZE_CAP) -> VerificationReport:
     """Iterated powers: restricting the degree-(n*m) operation along the
     flattening embedding must equal applying degree m then degree n."""
     if n * m == 1:

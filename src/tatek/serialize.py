@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cyclotomic import Cyclotomic
 from .devoto import DevotoElement
-from .groups import FiniteGroup, permutation_group
+from .groups import DEFAULT_SIZE_CAP, FiniteGroup, permutation_group
 from .series import BivariateSeries, PuiseuxSeries
 from .wreath import WreathElement, WreathGroup, wreath
 
@@ -100,7 +100,7 @@ def group_to_json(G: FiniteGroup) -> dict:
     return out
 
 
-def group_from_json(data, size_cap: int = 20000) -> FiniteGroup:
+def group_from_json(data, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteGroup:
     try:
         if "wreath" in data:
             inner = group_from_json(data["wreath"]["base_group"], size_cap)
@@ -158,7 +158,7 @@ def devoto_to_json(x: DevotoElement) -> dict:
 
 
 def devoto_from_json(data, group: FiniteGroup | None = None,
-                     size_cap: int = 20000) -> DevotoElement:
+                     size_cap: int = DEFAULT_SIZE_CAP) -> DevotoElement:
     try:
         G = group if group is not None else group_from_json(data["group"], size_cap)
         seen = set()
@@ -185,7 +185,8 @@ def repchar_to_json(chi) -> dict:
                        for g, v in sorted(chi.values.items())]}
 
 
-def repchar_from_json(data, group: FiniteGroup | None = None, size_cap: int = 20000):
+def repchar_from_json(data, group: FiniteGroup | None = None,
+                      size_cap: int = DEFAULT_SIZE_CAP):
     from .characters import RepCharacter
 
     try:

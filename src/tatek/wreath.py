@@ -29,6 +29,27 @@ class WreathElement(NamedTuple):
     perm: Perm
 
 
+def wreath_ops(G: FiniteGroup, n: int):
+    """Multiplication and inversion of G wr S_n as two closures over
+    (base tuple, permutation) pairs; the product twists the second base
+    tuple by the first permutation."""
+
+    def mul(x: WreathElement, y: WreathElement) -> WreathElement:
+        sig_inv = perm_inv(x.perm)
+        return WreathElement(
+            tuple(G.mul(x.base[i], y.base[sig_inv[i]]) for i in range(n)),
+            perm_mul(x.perm, y.perm),
+        )
+
+    def inv(x: WreathElement) -> WreathElement:
+        return WreathElement(
+            tuple(G.inv(x.base[x.perm[j]]) for j in range(n)),
+            perm_inv(x.perm),
+        )
+
+    return mul, inv
+
+
 class WreathGroup(FiniteGroup):
     """Fully enumerated wreath product of a base group by S_n."""
 
@@ -49,20 +70,7 @@ class WreathGroup(FiniteGroup):
             for perm in perms
         ]
         G = base_group
-
-        def mul(x: WreathElement, y: WreathElement) -> WreathElement:
-            sig_inv = perm_inv(x.perm)
-            return WreathElement(
-                tuple(G.mul(x.base[i], y.base[sig_inv[i]]) for i in range(copies)),
-                perm_mul(x.perm, y.perm),
-            )
-
-        def inv(x: WreathElement) -> WreathElement:
-            return WreathElement(
-                tuple(G.inv(x.base[x.perm[j]]) for j in range(copies)),
-                perm_inv(x.perm),
-            )
-
+        mul, inv = wreath_ops(G, copies)
         e = WreathElement((G.identity,) * copies, identity_perm(copies))
         super().__init__(elements, mul, inv, e,
                          name=f"{G.name} wr S{copies}",
@@ -172,6 +180,39 @@ MINIMAL_CONVENTION = OrbitConvention(
 )
 
 
+def cycle_product(G: FiniteGroup, base: Sequence, cycle: Sequence[int]):
+    """Product of the base entries along a cycle, each later point
+    multiplied on the left: g_{c[-1]} ... g_{c[1]} g_{c[0]}."""
+    prod = G.identity
+    for point in cycle:
+        prod = G.mul(base[point], prod)
+    return prod
+
+
+def _based_cycles(sigma: Perm, convention: OrbitConvention):
+    """The cycles of sigma, each rotated to start at the convention's base
+    point, and the index of the cycle through each point."""
+    cycles = []
+    cycle_at = [0] * len(sigma)
+    for cyc in cycles_of(sigma):
+        start = convention.cycle_start(cyc)
+        for point in cyc:
+            cycle_at[point] = len(cycles)
+        cycles.append(cyc[start:] + cyc[:start])
+    return cycles, cycle_at
+
+
+def _step(G: FiniteGroup, g_base: Sequence, h_base: Sequence, tau: Perm,
+          i_cyc: tuple, j_cyc: tuple):
+    """Shift and multiplier of the step that reads the loop over the
+    cycle j_cyc = tau(i_cyc)."""
+    m = j_cyc.index(tau[i_cyc[0]])
+    s = G.identity
+    for r in range(m):
+        s = G.mul(s, G.inv(g_base[j_cyc[r]]))
+    return m, G.mul(s, h_base[j_cyc[m - 1]])
+
+
 def orbit_data(G: FiniteGroup, g_base: Sequence, sigma: Perm, h_base: Sequence,
                tau: Perm, convention: OrbitConvention = MINIMAL_CONVENTION,
                check: bool = True) -> list[OrbitDatum]:
@@ -191,32 +232,7 @@ def orbit_data(G: FiniteGroup, g_base: Sequence, sigma: Perm, h_base: Sequence,
     if check and not centralizer_condition(G, w, x):
         raise ValueError("second pair does not centralize the first")
 
-    cycles = []
-    for cyc in cycles_of(sigma):
-        start = convention.cycle_start(cyc)
-        cycles.append(cyc[start:] + cyc[:start])
-    cycle_at = {}
-    for idx, cyc in enumerate(cycles):
-        for point in cyc:
-            cycle_at[point] = idx
-
-    def step(i_idx: int, j_idx: int):
-        """Shift and multiplier for the step reading the loop over cycle
-        j = tau(cycle i)."""
-        i_cyc, j_cyc = cycles[i_idx], cycles[j_idx]
-        m = j_cyc.index(tau[i_cyc[0]])
-        s = G.identity
-        for r in range(m):
-            s = G.mul(s, G.inv(g_base[j_cyc[r]]))
-        s = G.mul(s, h_base[j_cyc[m - 1]] if m >= 1 else h_base[j_cyc[-1]])
-        return m, s
-
-    def cycle_product(idx: int):
-        prod = G.identity
-        for point in cycles[idx]:
-            prod = G.mul(g_base[point], prod)
-        return prod
-
+    cycles, cycle_at = _based_cycles(sigma, convention)
     seen = set()
     out = []
     for idx in range(len(cycles)):
@@ -235,11 +251,12 @@ def orbit_data(G: FiniteGroup, g_base: Sequence, sigma: Perm, h_base: Sequence,
         total_shift = 0
         u = G.identity
         for r in range(size):
-            m, s = step(orbit[r], orbit[(r + 1) % size])
+            m, s = _step(G, g_base, h_base, tau, cycles[orbit[r]],
+                         cycles[orbit[(r + 1) % size]])
             total_shift += m
             u = G.mul(s, u)
         wraps, shift = divmod(total_shift, k)
-        hol = cycle_product(orbit[0])
+        hol = cycle_product(G, g_base, cycles[orbit[0]])
         u = G.mul(G.power(hol, wraps), u)
         if check and G.mul(u, hol) != G.mul(hol, u):
             raise AssertionError("return multiplier fails to commute with holonomy")
@@ -275,24 +292,11 @@ def action_tokens(G: FiniteGroup, w: WreathElement, x: WreathElement,
     of w's permutation (in stored-cycle order)."""
     if not centralizer_condition(G, w, x):
         raise ValueError("second element does not centralize the first")
-    sigma, tau = w.perm, x.perm
-    cycles = []
-    for cyc in cycles_of(sigma):
-        start = convention.cycle_start(cyc)
-        cycles.append(cyc[start:] + cyc[:start])
-    cycle_at = {}
-    for idx, cyc in enumerate(cycles):
-        for point in cyc:
-            cycle_at[point] = idx
+    cycles, cycle_at = _based_cycles(w.perm, convention)
     out = []
     for idx, i_cyc in enumerate(cycles):
-        j_idx = cycle_at[tau[i_cyc[0]]]
-        j_cyc = cycles[j_idx]
-        m = j_cyc.index(tau[i_cyc[0]])
-        s = G.identity
-        for r in range(m):
-            s = G.mul(s, G.inv(w.base[j_cyc[r]]))
-        s = G.mul(s, x.base[j_cyc[m - 1]] if m >= 1 else x.base[j_cyc[-1]])
+        j_idx = cycle_at[x.perm[i_cyc[0]]]
+        m, s = _step(G, w.base, x.base, x.perm, i_cyc, cycles[j_idx])
         out.append(StepToken(idx, j_idx, m, s))
     return out
 
@@ -302,17 +306,7 @@ def compose_tokens(G: FiniteGroup, w: WreathElement, first: list[StepToken],
                    convention: OrbitConvention = MINIMAL_CONVENTION) -> list[StepToken]:
     """Tokens of acting by `first` then `second`, normalized so shifts lie
     in [0, k) (full-cycle rotations fold into the source cycle product)."""
-    cycles = []
-    for cyc in cycles_of(w.perm):
-        start = convention.cycle_start(cyc)
-        cycles.append(cyc[start:] + cyc[:start])
-
-    def cycle_product(idx: int):
-        prod = G.identity
-        for point in cycles[idx]:
-            prod = G.mul(w.base[point], prod)
-        return prod
-
+    cycles, _ = _based_cycles(w.perm, convention)
     by_target_second = {t.target: t for t in second}
     by_target_first = {t.target: t for t in first}
     out = []
@@ -324,6 +318,6 @@ def compose_tokens(G: FiniteGroup, w: WreathElement, first: list[StepToken],
         k = len(cycles[idx])
         wraps, shift = divmod(shift, k)
         if wraps:
-            mult = G.mul(G.power(cycle_product(t1.source), wraps), mult)
+            mult = G.mul(G.power(cycle_product(G, w.base, cycles[t1.source]), wraps), mult)
         out.append(StepToken(idx, t1.source, shift, mult))
     return out

@@ -1,14 +1,15 @@
 """Wreath products and the string-orbit traversal."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from tatek.groups import (SizeCapExceeded, cyclic_group, identity_perm, perm_mul,
-                          symmetric_group, trivial_group)
+from tatek.groups import (SizeCapExceeded, cyclic_group, cycles_of, identity_perm,
+                          perm_mul, symmetric_group, trivial_group)
 from tatek.wreath import (OrbitConvention, WreathElement, action_tokens,
-                          centralizer_condition, compose_tokens, iota, iota_hom,
-                          orbit_data, orbit_data_for, wreath)
+                          centralizer_condition, compose_tokens, cycle_product, iota,
+                          iota_hom, orbit_data, orbit_data_for, wreath, wreath_ops)
 
 
 def nontrivial(G):
@@ -217,3 +218,58 @@ def test_orbit_data_validates_lengths():
     e = T.identity
     with pytest.raises(ValueError):
         orbit_data(T, (e,), (0, 1), (e, e), (0, 1))
+
+
+def _act(G, x, point):
+    """(g, sigma) acting on G x [n]: (a, i) -> (g_{sigma(i)} a, sigma(i))."""
+    a, i = point
+    j = x.perm[i]
+    return G.mul(x.base[j], a), j
+
+
+@pytest.mark.parametrize("G, n", [(cyclic_group(2), 3), (symmetric_group(3), 2)],
+                         ids=["Z2wrS3", "S3wrS2"])
+def test_wreath_ops_match_group_and_action(G, n):
+    W = wreath(G, n)
+    mul, inv = wreath_ops(G, n)
+    points = [(a, i) for a in G.elements for i in range(n)]
+    for x in W.elements:
+        assert inv(x) == W.inv(x)
+        assert mul(x, inv(x)) == W.identity
+        for y in W.elements:
+            xy = mul(x, y)
+            assert xy == W.mul(x, y)
+            # independent oracle: the product acts as the composite action
+            assert all(_act(G, xy, p) == _act(G, x, _act(G, y, p)) for p in points)
+
+
+def _point_orbits(sigma, tau):
+    left, out = set(range(len(sigma))), []
+    while left:
+        todo, orbit = [min(left)], set()
+        while todo:
+            p = todo.pop()
+            if p not in orbit:
+                orbit.add(p)
+                todo += [sigma[p], tau[p]]
+        left -= orbit
+        out.append(orbit)
+    return out
+
+
+def test_cycle_product_is_the_orbit_holonomy():
+    rng = random.Random(11)
+    for G, n in ((cyclic_group(3), 3), (symmetric_group(3), 2), (cyclic_group(2), 4)):
+        W = wreath(G, n)
+        for _ in range(40):
+            w = rng.choice(W.elements)
+            x = rng.choice(W.centralizer(w))
+            # the minimal convention bases each orbit at its least point
+            expected = Counter()
+            for orbit in _point_orbits(w.perm, x.perm):
+                cycle = next(c for c in cycles_of(w.perm) if c[0] == min(orbit))
+                expected[len(cycle), len(orbit) // len(cycle),
+                         cycle_product(G, w.base, cycle)] += 1
+            got = Counter((d.cycle_length, d.orbit_size, d.holonomy)
+                          for d in orbit_data_for(G, w, x))
+            assert got == expected
