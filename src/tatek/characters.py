@@ -19,7 +19,7 @@ from .cyclotomic import Cyclotomic, root_of_unity
 from .devoto import DevotoElement
 from .groups import DEFAULT_SIZE_CAP, FiniteGroup, cycles_of, identity_perm
 from .powerops import VerificationReport, compare_class_functions, p_str
-from .series import PuiseuxSeries
+from .series import PuiseuxSeries, _exp_coeffs
 from .wreath import WreathElement, WreathGroup, cycle_product, wreath, wreath_ops
 
 
@@ -179,17 +179,11 @@ def age(chi: RepCharacter, g, doubled: bool = False) -> Fraction:
 def _power_series_coeffs(power_sum: Callable[[int], Cyclotomic], kind: str,
                          t_order: int) -> list[Cyclotomic]:
     """Coefficients of Lambda_t (kind='lambda') or Sym_t (kind='sym') from
-    the power sums, by Newton's identities."""
-    coeffs = [Cyclotomic.one()]
-    for r in range(1, t_order + 1):
-        acc = Cyclotomic.zero()
-        for i in range(1, r + 1):
-            term = power_sum(i) * coeffs[r - i]
-            if kind == "lambda" and i % 2 == 0:
-                term = -term
-            acc = acc + term
-        coeffs.append(acc * Fraction(1, r))
-    return coeffs
+    the power sums, by Newton's identities: the exp recurrence on the
+    signed power sums p_i / i, with sign (-1)^(i-1) for Lambda_t."""
+    sign = -1 if kind == "lambda" else 1
+    logs = [power_sum(i) * Fraction(sign ** (i - 1), i) for i in range(1, t_order + 1)]
+    return _exp_coeffs([Cyclotomic.zero()] + logs, Cyclotomic.zero(), Cyclotomic.one())
 
 
 def lambda_sym_char(chi: RepCharacter, h, kind: str, t_order: int) -> list[Cyclotomic]:

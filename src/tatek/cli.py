@@ -45,7 +45,7 @@ def _load_series_or_element(args, size_cap: int):
     group = None
     if getattr(args, "group", None):
         group = group_from_json(_read_json(args.group), size_cap)
-    if "entries" in data:
+    if isinstance(data, dict) and "entries" in data:
         return devoto_from_json(data, group=group, size_cap=size_cap)
     series = series_from_json(data)
     if group is None:

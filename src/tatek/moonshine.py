@@ -261,6 +261,8 @@ def dmvv_check(c: Mapping[int, int], t_order: int, q_order: int) -> ComparisonRe
     Borcherds product of c, coefficientwise."""
     if t_order < 1 or q_order < 1:
         raise ValueError("bi-orders must be positive")
+    if any(i < 0 for i in c):
+        raise ValueError("coefficient indices must be nonnegative")
     needed = t_order * q_order
     phi = PuiseuxSeries({i: ci for i, ci in c.items() if 0 <= i <= needed}, needed)
     exp_side = BivariateSeries(
@@ -276,6 +278,8 @@ def denominator_check(order: int) -> ComparisonReport:
 
     Both sides are multiplied by t, so t-degree d here reports as d-1.
     """
+    if order < 1:
+        raise ValueError("order must be positive")
     t_order = order + 1
     required = t_order * order
     F = jseries(required)

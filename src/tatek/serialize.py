@@ -106,6 +106,8 @@ def group_from_json(data, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteGroup:
             inner = group_from_json(data["wreath"]["base_group"], size_cap)
             return wreath(inner, int(data["wreath"]["copies"]), size_cap)
         degree = int(data["degree"])
+        if degree < 1:
+            raise FormatError(f"group degree must be positive, got {degree}")
         gens = [tuple(i - 1 for i in g) for g in data["generators"]]
         for g in gens:
             if sorted(g) != list(range(degree)):

@@ -8,10 +8,11 @@ always correct to its recorded order. A BivariateSeries layers a dummy
 variable t on top, with integer t-degrees and PuiseuxSeries coefficients;
 exp/log/inverse on it are t-adic.
 
-PuiseuxSeries exp/log/inverse run as O(N^2) coefficient recurrences on
-the exponent lattice (1/d)Z (Knuth, TAOCP vol. 2, section 4.7): with a
-the input and b the result, inverse solves sum a_i b_{k-i} = [k = 0], and
-exp and log come from the logarithmic derivative, k b_k = sum i a_i b_{k-i}.
+Both classes run exp/log/inverse through the same three O(N^2)
+coefficient recurrences (Knuth, TAOCP vol. 2, section 4.7), and Newton's
+identities in characters.py are the exp one: with a the input and b the
+result, inverse solves sum a_i b_{k-i} = [k = 0], and exp and log come
+from the logarithmic derivative, k b_k = sum i a_i b_{k-i}.
 
 All values are immutable and all operations pure, so anything here can be
 shared freely across threads.
@@ -185,8 +186,7 @@ class PuiseuxSeries:
     # -- analytic operations (truncated) -----------------------------
 
     def exp(self) -> "PuiseuxSeries":
-        """exp of a series with strictly positive valuation:
-        b_0 = 1, k b_k = sum_{i=1..k} i a_i b_{k-i}."""
+        """exp of a series with strictly positive valuation."""
         if self.is_zero():
             return PuiseuxSeries.one(self.truncation)
         v = self.valuation()
@@ -195,15 +195,10 @@ class PuiseuxSeries:
         if self.truncation is None:
             raise ValueError("exp of an untruncated series does not terminate")
         d, a, zero = self._lattice()
-        weighted = [(i, i * ai) for i, ai in enumerate(a) if ai]
-        b = [zero + 1] + [zero] * (len(a) - 1)
-        for k in range(1, len(a)):
-            b[k] = _dot(weighted, b, k, zero) * Fraction(1, k)
-        return _from_lattice(d, b, self.truncation)
+        return _from_lattice(d, _exp_coeffs(a, zero, zero + 1), self.truncation)
 
     def log(self) -> "PuiseuxSeries":
-        """log of a series with constant term 1 and no negative exponents:
-        k g_k = k a_k - sum_{i=1..k-1} i g_i a_{k-i}."""
+        """log of a series with constant term 1 and no negative exponents."""
         v = self.valuation()
         if self.coefficient(0) != Cyclotomic.one() or v is None or v < 0:
             raise ValueError("log needs constant term 1")
@@ -212,18 +207,11 @@ class PuiseuxSeries:
         if self.truncation is None:
             raise ValueError("log of an untruncated series does not terminate")
         d, a, zero = self._lattice()
-        higher = [(i, ai) for i, ai in enumerate(a) if i and ai]
-        g = [zero] * len(a)
-        weighted = [zero] * len(a)  # weighted[i] = i g_i
-        for k in range(1, len(a)):
-            weighted[k] = k * a[k] - _dot(higher, weighted, k, zero)
-            g[k] = weighted[k] * Fraction(1, k)
-        return _from_lattice(d, g, self.truncation)
+        return _from_lattice(d, _log_coeffs(a, zero, zero + 1), self.truncation)
 
     def inv(self) -> "PuiseuxSeries":
         """Multiplicative inverse of a series with invertible constant term
-        and valuation zero: b_0 = 1/a_0,
-        b_k = -(1/a_0) sum_{i=1..k} a_i b_{k-i}."""
+        and valuation zero."""
         c0 = self.coefficient(0)
         if c0.is_zero() or self.valuation() != 0:
             raise ValueError("inverse needs lowest exponent 0 with an invertible constant")
@@ -232,12 +220,7 @@ class PuiseuxSeries:
         if self.truncation is None:
             raise ValueError("inverse of an untruncated series does not terminate")
         d, a, zero = self._lattice()
-        b = [1 / a[0]] + [zero] * (len(a) - 1)
-        scale = -b[0]
-        higher = [(i, ai) for i, ai in enumerate(a) if i and ai]
-        for k in range(1, len(a)):
-            b[k] = scale * _dot(higher, b, k, zero)
-        return _from_lattice(d, b, self.truncation)
+        return _from_lattice(d, _inv_coeffs(a, zero, 1 / a[0]), self.truncation)
 
     def _lattice(self) -> tuple[int, list, Fraction | Cyclotomic]:
         """(d, a, zero) with a[k] the coefficient of q^(k/d) for
@@ -310,6 +293,44 @@ def _dot(pairs: list, b: list, k: int, zero):
             break
         acc = acc + c * b[k - i]
     return acc
+
+
+# The recurrences take coefficients a_0, a_1, ... over a ring with the given
+# zero. A zero series coefficient with a truncation is unknown above it, not
+# zero, so `ai != zero` keeps it.
+
+
+def _exp_coeffs(a: list, zero, one) -> list:
+    """exp, for a_0 zero: b_0 = one + a_0, k b_k = sum_{i=1..k} i a_i b_{k-i}."""
+    weighted = [(i, i * ai) for i, ai in enumerate(a) if i and ai != zero]
+    b = [one + a[0]] + [zero] * (len(a) - 1)
+    for k in range(1, len(a)):
+        b[k] = _dot(weighted, b, k, zero) * Fraction(1, k)
+    return b
+
+
+def _log_coeffs(a: list, zero, one) -> list:
+    """log, for a_0 one: g_0 = a_0 - one and, with 1/a_0 = one - g_0,
+    k g_k = (k a_k - sum_{i=1..k-1} i g_i a_{k-i}) / a_0."""
+    g0 = a[0] - one
+    unit = one - g0
+    higher = [(i, ai) for i, ai in enumerate(a) if i and ai != zero]
+    g = [g0] + [zero] * (len(a) - 1)
+    weighted = [zero] * len(a)  # weighted[i] = i g_i
+    for k in range(1, len(a)):
+        weighted[k] = (k * a[k] - _dot(higher, weighted, k, zero)) * unit
+        g[k] = weighted[k] * Fraction(1, k)
+    return g
+
+
+def _inv_coeffs(a: list, zero, b0) -> list:
+    """inverse, given b0 = 1/a_0: b_k = -b_0 sum_{i=1..k} a_i b_{k-i}."""
+    higher = [(i, ai) for i, ai in enumerate(a) if i and ai != zero]
+    b = [b0] + [zero] * (len(a) - 1)
+    scale = -b0
+    for k in range(1, len(a)):
+        b[k] = scale * _dot(higher, b, k, zero)
+    return b
 
 
 def _from_lattice(d: int, values: list, trunc: Fraction) -> PuiseuxSeries:
@@ -482,37 +503,22 @@ class BivariateSeries:
         """t-adic exponential; the t^0 coefficient must vanish."""
         if self.coefficient(0).terms:
             raise ValueError("exp needs zero constant term in t")
-        out = BivariateSeries.one(self.t_truncation)
-        term = BivariateSeries.one(self.t_truncation)
-        for k in range(1, self.t_truncation + 1):
-            term = (term * self) * Fraction(1, k)
-            out = out + term
-        return out
+        return self._recur(_exp_coeffs, PuiseuxSeries.one())
 
     def log(self) -> "BivariateSeries":
         """t-adic logarithm; the t^0 coefficient must equal 1."""
-        c0 = self.coefficient(0)
-        if c0.terms != {Fraction(0): Cyclotomic.one()}:
+        if self.coefficient(0).terms != {Fraction(0): Cyclotomic.one()}:
             raise ValueError("log needs constant term 1 in t")
-        u = self - BivariateSeries({0: c0}, self.t_truncation)
-        out = BivariateSeries.zero(self.t_truncation)
-        term = BivariateSeries.one(self.t_truncation)
-        for k in range(1, self.t_truncation + 1):
-            term = term * u
-            out = out + term * Fraction((-1) ** (k - 1), k)
-        return out
+        return self._recur(_log_coeffs, PuiseuxSeries.one())
 
     def inv(self) -> "BivariateSeries":
         """t-adic inverse; the t^0 coefficient must be an invertible series."""
-        c0 = self.coefficient(0)
-        c0_inv = c0.inv()  # raises if not a unit
-        u = (self - BivariateSeries({0: c0}, self.t_truncation)) * c0_inv
-        out = BivariateSeries.one(self.t_truncation)
-        term = BivariateSeries.one(self.t_truncation)
-        for k in range(1, self.t_truncation + 1):
-            term = term * u
-            out = out + term * Fraction((-1) ** k)
-        return out * c0_inv
+        return self._recur(_inv_coeffs, self.coefficient(0).inv())  # raises if not a unit
+
+    def _recur(self, recurrence, arg) -> "BivariateSeries":
+        a = [self.coefficient(n) for n in range(self.t_truncation + 1)]
+        return BivariateSeries(dict(enumerate(recurrence(a, PuiseuxSeries.zero(), arg))),
+                               self.t_truncation)
 
     def agrees_with(self, other: "BivariateSeries", t_order: int | None = None,
                     q_order: Exponent | None = None) -> bool:

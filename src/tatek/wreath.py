@@ -229,8 +229,9 @@ def orbit_data(G: FiniteGroup, g_base: Sequence, sigma: Perm, h_base: Sequence,
         raise ValueError("base tuples and permutations must have one length")
     w = WreathElement(tuple(g_base), tuple(sigma))
     x = WreathElement(tuple(h_base), tuple(tau))
+    noncentral = "second pair does not centralize the first"
     if check and not centralizer_condition(G, w, x):
-        raise ValueError("second pair does not centralize the first")
+        raise ValueError(noncentral)
 
     cycles, cycle_at = _based_cycles(sigma, convention)
     seen = set()
@@ -239,11 +240,16 @@ def orbit_data(G: FiniteGroup, g_base: Sequence, sigma: Perm, h_base: Sequence,
         if idx in seen:
             continue
         orbit = [idx]
+        seen.add(idx)
         cur = cycle_at[tau[cycles[idx][0]]]
         while cur != idx:
+            # a centralizing tau permutes the cycles, so the walk only
+            # returns to its start; unchecked input may loop elsewhere
+            if cur in seen:
+                raise ValueError(noncentral)
+            seen.add(cur)
             orbit.append(cur)
             cur = cycle_at[tau[cycles[cur][0]]]
-        seen.update(orbit)
         start_pos = convention.orbit_start([cycles[i] for i in orbit])
         orbit = orbit[start_pos:] + orbit[:start_pos]
 

@@ -87,6 +87,44 @@ def test_lambda_sym_inverse_identity():
                 assert acc == (Cyclotomic.one() if r == 0 else Cyclotomic.zero())
 
 
+def newton_loop(chi, h, kind, t_order):
+    """The earlier implementation of lambda_sym_char: Newton's identities
+    as their own loop."""
+    G = chi.group
+    powers = [G.identity]
+    for _ in range(t_order):
+        powers.append(G.mul(powers[-1], h))
+    coeffs = [Cyclotomic.one()]
+    for r in range(1, t_order + 1):
+        acc = Cyclotomic.zero()
+        for i in range(1, r + 1):
+            term = chi.value(powers[i]) * coeffs[r - i]
+            if kind == "lambda" and i % 2 == 0:
+                term = -term
+            acc = acc + term
+        coeffs.append(acc * Fraction(1, r))
+    return coeffs
+
+
+def test_lambda_sym_char_matches_newton_loop():
+    from tatek.groups import symmetric_group
+
+    S3 = symmetric_group(3)
+    Z4 = cyclic_group(4)
+    g4 = next(x for x in Z4.elements if Z4.order_of(x) == 4)
+    chars = [RepCharacter.trivial(Z3), RepCharacter.regular(Z3), faithful, sign,
+             RepCharacter(Z2, {E2: 2, S: 0}), RepCharacter(Z3, {}),
+             faithful + RepCharacter.regular(Z3),
+             RepCharacter(S3, {S3.identity: 2, (1, 0, 2): 0, (1, 2, 0): -1}),
+             RepCharacter(Z4, {Z4.power(g4, k): root_of_unity(4, k) for k in range(4)})]
+    for chi in chars:
+        for h in chi.group.elements:
+            for kind in ("lambda", "sym"):
+                got, want = lambda_sym_char(chi, h, kind, 6), newton_loop(chi, h, kind, 6)
+                # stored forms, not only values
+                assert [repr(c) for c in got] == [repr(c) for c in want]
+
+
 def test_wreath_sum_character_examples():
     W = wreath(Z3, 2)
     chi2 = wreath_sum_character(faithful, 2, W)

@@ -1,6 +1,7 @@
 """Interchange formats and the command-line front end."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -23,9 +24,14 @@ from tatek.series import BivariateSeries, PuiseuxSeries
 from tatek.wreath import wreath
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run_cli(*args):
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC if not path else SRC + os.pathsep + path}
     return subprocess.run([sys.executable, "-m", "tatek", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def test_cyclotomic_roundtrip():
@@ -163,12 +169,31 @@ def test_cli_rejects_out_of_range_degrees(tmp_path):
     # bad integer arguments are usage errors: exit 2 and a one-line message
     x = tmp_path / "x.json"
     x.write_text(dumps(series_to_json(PuiseuxSeries({1: 1}, 4))))
+    c = tmp_path / "c.json"
+    c.write_text(dumps(coeffs_to_json({-1: 2})))
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"degree": -1, "generators": []}))
     cases = [("sym", "--n", "-1", "--input", str(x)),
              ("replicable", "--nmax", "0", "--order", "3", "--j"),
              ("replicable", "--nmax", "2", "--order", "-1", "--j"),
-             ("powerop", "--n", "0", "--input", str(x))]
+             ("powerop", "--n", "0", "--input", str(x)),
+             ("denominator", "--order", "-2"),
+             ("dmvv", "--coeffs", str(c), "--t-order", "2", "--q-order", "2"),
+             ("hecke", "--n", "2", "--input", str(x), "--group", str(g))]
     for argv in cases:
         out = run_cli(*argv)
+        assert out.returncode == 2, argv
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+
+
+def test_cli_rejects_non_object_input(tmp_path):
+    # a JSON value that is not an object is a format error, not a crash
+    five = tmp_path / "five.json"
+    five.write_text("5")
+    for argv in (("hecke", "--n", "2"), ("sym", "--n", "2"), ("powerop", "--n", "2"),
+                 ("epsilon",)):
+        out = run_cli(*argv, "--input", str(five))
         assert out.returncode == 2, argv
         assert out.stdout == ""
         assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr

@@ -141,6 +141,10 @@ def test_orbit_data_rejects_noncentralizing_input():
     e = T.identity
     with pytest.raises(ValueError):
         orbit_data(T, (e, e, e), (1, 0, 2), (e, e, e), (1, 2, 0))
+    # unchecked, tau sends cycle (0 1) into a loop through (3 4) and (2)
+    # that never returns to it
+    with pytest.raises(ValueError, match="does not centralize"):
+        orbit_data(T, (e,) * 5, (1, 0, 2, 4, 3), (e,) * 5, (3, 0, 4, 2, 1), check=False)
 
 
 @pytest.mark.parametrize("group_maker", [lambda: cyclic_group(4), lambda: symmetric_group(3)])
