@@ -1,8 +1,10 @@
 """Command-line front end: JSON in, JSON or text out.
 
 Exit status: 0 on success (and on passing verifications), 1 when a
-verification fails, 2 on usage or format errors. All numbers in the
-output are exact; identical inputs and seed give byte-identical output.
+verification fails, 2 on usage or format errors, 3 on an internal error
+(one `internal error:` line on stderr, never a traceback). All numbers
+in the output are exact; identical inputs and seed give byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from .moonshine import (McKayThompson, denominator_check, dmvv_check, faber, jse
                         replicability_check)
 from .powerops import hecke_T, hecke_scalar, p_str, sym_str
 from .serialize import (FormatError, coeffs_from_json, devoto_from_json, devoto_to_json,
-                        dumps, fraction_from_str, group_from_json, series_from_json,
-                        series_to_json)
+                        dumps, group_from_json, series_from_json, series_to_json)
 from .verify import SUITES, run_suites
 
 
@@ -35,6 +36,8 @@ def _read_json(path: str):
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path} nests too deeply") from exc
 
 
 def _load_series_or_element(args, size_cap: int):
@@ -162,7 +165,7 @@ def cmd_denominator(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    results = run_suites(names, args.seed, q_order=fraction_from_str(args.q_order))
+    results = run_suites(names, args.seed)
     ok = all(r.ok for _, checks in results for r in checks)
     payload = {"ok": ok,
                "suites": [{"suite": name,
@@ -254,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", choices=sorted(SUITES) + ["all"], required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--q-order", default="2", dest="q_order",
-                   help="series truncation for randomized checks (a rational)")
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -268,6 +269,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # FormatError, InsufficientTruncation, SizeCapExceeded too
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

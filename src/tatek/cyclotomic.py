@@ -240,17 +240,18 @@ class Cyclotomic:
         return self.__mul__(other)
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse, via the extended Euclidean algorithm
-        against the defining polynomial."""
+        """Multiplicative inverse: the product of the other Galois
+        conjugates divided by the norm, which is rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self.order == 1:
-            return Cyclotomic.from_rational(1 / self.as_fraction())
-        nums, den = self._dense()
-        f = [Fraction(n, den) for n in nums]
-        g = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        inv = _poly_inverse_mod(f, g)
-        return _from_dense_fractions(self.order, inv)
+        prod = Cyclotomic.one()
+        for a in range(2, self.order):
+            if gcd(a, self.order) == 1:
+                prod = prod * self.galois(a)
+        # a raw embedded value keeps its order even when the norm is
+        # rational, so read the norm off the dense vector
+        nums, den = (self * prod)._dense()
+        return prod * Fraction(den, nums[0])
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -313,10 +314,10 @@ def _raw(order: int, terms: dict[int, Fraction]) -> Cyclotomic:
     return obj
 
 
-def _from_dense(order: int, nums: list[int], den: int, normalize: bool = True) -> Cyclotomic:
+def _from_dense(order: int, nums: list[int], den: int) -> Cyclotomic:
     if not any(nums):
         return _raw(1, {})
-    if normalize and order % 4 == 2:
+    if order % 4 == 2:
         # zeta_{2m} = -zeta_m^{(m+1)/2} for odd m: rewrite and re-reduce.
         m = order // 2
         half = (m + 1) // 2
@@ -408,50 +409,3 @@ def _solve_columns(cols, target):
         if sum(sol[j] * cols[j][i] for j in range(ncols)) != target[i]:
             return None
     return sol
-
-
-def _trim(p: list) -> list:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and (trimmed) remainder of a by b in Q[x]; b has a nonzero
-    leading coefficient."""
-    a = list(a)
-    db = len(b) - 1
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        t = a[-1] / b[-1]
-        q[len(a) - 1 - db] = t
-        for i in range(db + 1):
-            a[len(a) - 1 - db + i] -= t * b[i]
-        _trim(a)
-    return q, a
-
-
-def _poly_inverse_mod(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    """Inverse of f modulo g in Q[x] (g the defining polynomial)."""
-    r0, r1 = g, _trim(list(f))
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        # s_{k+1} = s_{k-1} - q s_k
-        qs = [Fraction(0)] * (len(q) + len(s1) - 1) if q and s1 else []
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    qs[i + j] += qi * sj
-        new_s = [Fraction(0)] * max(len(s0), len(qs))
-        for i, c in enumerate(s0):
-            new_s[i] += c
-        for i, c in enumerate(qs):
-            new_s[i] -= c
-        s0, s1 = s1, _trim(new_s)
-    if len(r0) != 1:
-        raise ZeroDivisionError("value is not invertible (shares a factor with the modulus)")
-    c = r0[0]
-    _, inv = _poly_divmod([x / c for x in s0], g)
-    return inv + [Fraction(0)] * (len(g) - 1 - len(inv))

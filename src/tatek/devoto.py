@@ -43,8 +43,6 @@ class DevotoElement:
             raise ValueError("level must be positive")
         canonical: dict = {}
         for (g, h), s in table.items():
-            if group.mul(g, h) != group.mul(h, g):
-                raise ValueError(f"pair does not commute: {(g, h)!r}")
             rep = group.pair_class_rep(g, h)
             if not isinstance(s, PuiseuxSeries):
                 s = PuiseuxSeries({0: s})

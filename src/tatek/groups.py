@@ -8,6 +8,14 @@ conjugation) are computed on demand and cached. Class and pair-class
 representatives are the first members in enumeration order, which makes
 every derived table deterministic.
 
+One conjugacy walk builds every table. The commuting-pair classes are
+the disjoint union, over the classes [r] of G, of the conjugacy classes
+of the centralizer C_r: the class of (g, h) is represented by (r, h')
+with r the class representative of g and h' the C_r-class representative
+of the conjugated partner, and it has |[r]| * |[h']_{C_r}| members. The
+pair table therefore holds exactly the commuting pairs, and a lookup
+needs no multiplication to reject a pair that does not commute.
+
 Elements must be hashable; groups are immutable once built.
 """
 
@@ -103,7 +111,8 @@ class FiniteGroup:
         self._conjugacy = None
         self._pair_classes = None
         self._pair_rep_map = None
-        self._pair_stabilizer_sizes = None
+        self._pair_class_sizes = None
+        self._centralizers: dict = {}
         if check:
             self._check_axioms()
 
@@ -158,27 +167,7 @@ class FiniteGroup:
 
     def _conjugacy_data(self):
         if self._conjugacy is None:
-            reps = []
-            class_members: dict = {}
-            rep_of: dict = {}
-            to_rep: dict = {}  # g -> t with t g t^-1 = rep_of[g]
-            for g in self.elements:
-                if g in rep_of:
-                    continue
-                reps.append(g)
-                members = []
-                for a in self.elements:
-                    m = self.conjugate(a, g)
-                    if m not in rep_of:
-                        rep_of[m] = g
-                        to_rep[m] = self.inv(a)
-                        members.append(m)
-                class_members[g] = tuple(members)
-            centralizers = {
-                r: tuple(a for a in self.elements if self.mul(a, r) == self.mul(r, a))
-                for r in reps
-            }
-            self._conjugacy = (tuple(reps), class_members, rep_of, to_rep, centralizers)
+            self._conjugacy = _conjugacy_classes(self.elements, self.mul, self.inv)
         return self._conjugacy
 
     def class_representatives(self) -> tuple:
@@ -196,11 +185,14 @@ class FiniteGroup:
         return self._conjugacy_data()[3][g]
 
     def centralizer(self, g) -> tuple:
-        data = self._conjugacy_data()
-        rep = data[2][g]
-        if g == rep:
-            return data[4][rep]
-        return tuple(a for a in self.elements if self.mul(a, g) == self.mul(g, a))
+        cent = self._centralizers.get(g)
+        if cent is None:
+            if g not in self._index:
+                raise KeyError(g)
+            mul = self.mul
+            cent = self._centralizers[g] = tuple(
+                a for a in self.elements if mul(a, g) == mul(g, a))
+        return cent
 
     # -- commuting pairs ----------------------------------------------
 
@@ -213,56 +205,71 @@ class FiniteGroup:
 
     def pair_class_rep(self, g, h) -> tuple:
         """Canonical representative of the simultaneous-conjugacy class
-        of the commuting pair (g, h)."""
-        if self.mul(g, h) != self.mul(h, g):
-            raise ValueError("elements do not commute")
+        of the commuting pair (g, h); ValueError if the pair does not
+        commute."""
         self._build_pair_tables()
-        return self._pair_rep_map[(g, h)]
+        rep = self._pair_rep_map.get((g, h))
+        if rep is None:
+            raise ValueError(f"not a commuting pair of {self.name}: {(g, h)!r}")
+        return rep
 
     def pair_class_size(self, g, h) -> int:
         """Orbit size of the pair class under simultaneous conjugation."""
-        self._build_pair_tables()
-        rep = self._pair_rep_map[(g, h)]
-        return len(self.elements) // self._pair_stabilizer_sizes[rep]
+        return self._pair_class_sizes[self.pair_class_rep(g, h)]
 
     def _build_pair_tables(self):
         if self._pair_classes is not None:
             return
-        reps, _, rep_of, to_rep, centralizers = self._conjugacy_data()
+        data = self._conjugacy_data()
+        reps, members, _, to_rep = data
+        mul, inv = self.mul, self.inv
         pair_classes = []
         pair_rep: dict = {}
-        stab_sizes: dict = {}
+        sizes: dict = {}
         for r in reps:
-            cent = centralizers[r]
-            if len(cent) == len(self.elements):
-                # r is central: centralizer conjugacy is group conjugacy
-                h_rep = dict(rep_of)
-                pair_classes.extend((r, h) for h in reps)
-                for h in reps:
-                    stab_sizes[(r, h)] = len(centralizers[h])
-            else:
-                h_rep = {}
-                for h in cent:
-                    if h in h_rep:
-                        continue
-                    pair_classes.append((r, h))
-                    for a in cent:
-                        m = self.conjugate(a, h)
-                        if m not in h_rep:
-                            h_rep[m] = h
-                    stab_sizes[(r, h)] = sum(
-                        1 for a in cent if self.mul(a, h) == self.mul(h, a))
-            # resolve arbitrary pairs with first component in this class:
+            cent = self.centralizer(r)
+            # the pair classes over [r] are the conjugacy classes of C_r
+            h_reps, h_members, h_rep, _ = (
+                data if len(cent) == len(self.elements) else _conjugacy_classes(cent, mul, inv))
+            class_size = len(members[r])
+            for h in h_reps:
+                pair_classes.append((r, h))
+                sizes[(r, h)] = class_size * len(h_members[h])
             # the commuting partners of g = t^-1 r t are t^-1 C_r t
-            for g in self.conjugacy_class(r):
+            for g in members[r]:
                 t = to_rep[g]
-                t_inv = self.inv(t)
+                t_inv = inv(t)
                 for c in cent:
-                    h0 = self.mul(self.mul(t_inv, c), t)
-                    pair_rep[(g, h0)] = (r, h_rep[c])
-        self._pair_classes = tuple(dict.fromkeys(pair_classes))
+                    pair_rep[(g, mul(mul(t_inv, c), t))] = (r, h_rep[c])
+        self._pair_classes = tuple(pair_classes)
         self._pair_rep_map = pair_rep
-        self._pair_stabilizer_sizes = stab_sizes
+        self._pair_class_sizes = sizes
+
+
+def _conjugacy_classes(elements: tuple, mul: Callable, inv: Callable):
+    """Conjugacy classes of the group with these elements, walked in
+    enumeration order: (reps, members, rep_of, to_rep), where each
+    representative is the first member of its class, members maps it to
+    its class, rep_of maps each element to its representative and
+    to_rep[g] is a t with t g t^-1 = rep_of[g]."""
+    inverses = [inv(a) for a in elements]
+    reps = []
+    members: dict = {}
+    rep_of: dict = {}
+    to_rep: dict = {}
+    for g in elements:
+        if g in rep_of:
+            continue
+        reps.append(g)
+        cls = []
+        for a, a_inv in zip(elements, inverses):
+            m = mul(mul(a, g), a_inv)
+            if m not in rep_of:
+                rep_of[m] = g
+                to_rep[m] = a_inv
+                cls.append(m)
+        members[g] = tuple(cls)
+    return tuple(reps), members, rep_of, to_rep
 
 
 # -- constructors ------------------------------------------------------

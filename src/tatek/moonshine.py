@@ -137,7 +137,7 @@ def faber(F: McKayThompson, n: int) -> list[int]:
     for d in range(n + 1):
         c = top.coefficient(d)
         if not (c.is_rational() and c.as_fraction().denominator == 1):
-            raise AssertionError(f"non-integral Faber coefficient {c} at w^{d}")
+            raise ValueError(f"non-integral Faber coefficient {c} at w^{d}")
         out.append(int(c.as_fraction()))
     return out
 

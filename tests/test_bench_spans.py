@@ -5,6 +5,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from tatek.groups import cyclic_group, symmetric_group
+from tatek.wreath import wreath
+from test_groups import brute_pair_classes
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -28,3 +32,12 @@ def test_every_traced_span_resolves():
         if not found:
             missing.append((span, module_name, attr))
     assert not missing
+
+
+def test_tracer_counts_pair_classes():
+    # the tracer reads the pair table attributes by name to count classes
+    for make in (lambda: symmetric_group(3), lambda: wreath(cyclic_group(2), 2)):
+        with _load_tracing().Tracer() as tracer:
+            G = make()
+            G.commuting_pair_classes()
+        assert tracer.counts["groups.pair_classes"] == len(brute_pair_classes(G)[0])

@@ -1,11 +1,13 @@
 """Cyclotomic field arithmetic: contract examples and algebraic laws."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tatek.cyclotomic import Cyclotomic, cyc_make, cyclotomic_polynomial
+from tatek.cyclotomic import (Cyclotomic, _from_dense_fractions, cyc_make,
+                              cyclotomic_polynomial)
 
 ORDERS = [1, 2, 3, 4, 5, 6, 8, 9, 12]
 
@@ -89,6 +91,71 @@ def test_inverse(x):
             x.inverse()
     else:
         assert x * x.inverse() == Cyclotomic.one()
+
+
+def _trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _poly_divmod(a, b):
+    a = list(a)
+    db = len(b) - 1
+    q = [Fraction(0)] * max(len(a) - db, 0)
+    while len(a) - 1 >= db and a:
+        t = a[-1] / b[-1]
+        q[len(a) - 1 - db] = t
+        for i in range(db + 1):
+            a[len(a) - 1 - db + i] -= t * b[i]
+        _trim(a)
+    return q, a
+
+
+def _euclid_inverse(x):
+    """Reference inverse: the extended Euclidean algorithm against the
+    defining polynomial, with the result re-normalized."""
+    if x.order == 1:
+        return Cyclotomic.from_rational(1 / x.as_fraction())
+    nums, den = x._dense()
+    g = [Fraction(c) for c in cyclotomic_polynomial(x.order)]
+    r0, r1 = g, _trim([Fraction(n, den) for n in nums])
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        qs = [Fraction(0)] * (len(q) + len(s1) - 1) if q and s1 else []
+        for i, qi in enumerate(q):
+            for j, sj in enumerate(s1):
+                qs[i + j] += qi * sj
+        new_s = [Fraction(0)] * max(len(s0), len(qs))
+        for i, c in enumerate(s0):
+            new_s[i] += c
+        for i, c in enumerate(qs):
+            new_s[i] -= c
+        s0, s1 = s1, _trim(new_s)
+    assert len(r0) == 1
+    _, inv = _poly_divmod([c / r0[0] for c in s0], g)
+    return _from_dense_fractions(x.order, inv + [Fraction(0)] * (len(g) - 1 - len(inv)))
+
+
+def test_inverse_matches_euclid_reference():
+    # the norm form must reproduce the Euclid result verbatim, including
+    # on raw embedded values whose stored order exceeds their field's
+    rng = random.Random(5)
+    checked = 0
+    for order in range(1, 25):
+        for trial in range(8):
+            terms = {rng.randrange(order): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                     for _ in range(rng.randint(1, 4))}
+            x = Cyclotomic(order, terms)
+            if trial % 2:
+                x = x.embedded(x.order * rng.randint(2, 5))
+            if x.is_zero():
+                continue
+            assert repr(x.inverse()) == repr(_euclid_inverse(x)), x
+            checked += 1
+    assert checked > 150
 
 
 @given(st.sampled_from(ORDERS), st.integers(-12, 12))

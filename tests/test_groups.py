@@ -5,22 +5,26 @@ import pytest
 from tatek.groups import (Homomorphism, SizeCapExceeded, cyclic_group, direct_product,
                           identity_perm, perm_from_cycles, perm_inv, perm_mul,
                           permutation_group, symmetric_group, trivial_group)
+from tatek.wreath import wreath
 
 
-def brute_pair_orbit_count(G):
+def brute_pair_classes(G):
     """Independent oracle: partition all commuting pairs into orbits under
-    simultaneous conjugation by direct orbit expansion."""
-    pairs = [(g, h) for g in G.elements for h in G.elements
-             if G.mul(g, h) == G.mul(h, g)]
-    seen = set()
-    orbits = 0
-    for p in pairs:
-        if p in seen:
-            continue
-        orbits += 1
-        for a in G.elements:
-            seen.add((G.conjugate(a, p[0]), G.conjugate(a, p[1])))
-    return orbits
+    simultaneous conjugation by direct orbit expansion. Returns the
+    representatives (the least pair of each orbit by enumeration index, in
+    that order), the map from every commuting pair to its representative,
+    and the orbit size of each representative."""
+    reps, rep_of, sizes = [], {}, {}
+    for g in G.elements:
+        for h in G.elements:
+            if G.mul(g, h) != G.mul(h, g) or (g, h) in rep_of:
+                continue
+            orbit = {(G.conjugate(a, g), G.conjugate(a, h)) for a in G.elements}
+            reps.append((g, h))
+            sizes[(g, h)] = len(orbit)
+            for p in orbit:
+                rep_of[p] = (g, h)
+    return reps, rep_of, sizes
 
 
 def test_generation_examples():
@@ -63,12 +67,12 @@ def test_element_orders():
 
 def test_commuting_pair_class_counts():
     S3 = symmetric_group(3)
-    assert len(S3.commuting_pair_classes()) == 8 == brute_pair_orbit_count(S3)
+    assert len(S3.commuting_pair_classes()) == 8 == len(brute_pair_classes(S3)[0])
     assert len(trivial_group().commuting_pair_classes()) == 1
     Z2 = cyclic_group(2)
     assert len(Z2.commuting_pair_classes()) == 4
     for G in (cyclic_group(4), symmetric_group(4)):
-        assert len(G.commuting_pair_classes()) == brute_pair_orbit_count(G)
+        assert len(G.commuting_pair_classes()) == len(brute_pair_classes(G)[0])
 
 
 def test_pair_rep_is_constant_on_orbits():
@@ -81,6 +85,27 @@ def test_pair_rep_is_constant_on_orbits():
                 assert S3.pair_class_rep(*moved) == rep
     with pytest.raises(ValueError):
         S3.pair_class_rep((1, 0, 2), (0, 2, 1))
+
+
+@pytest.mark.parametrize("make", [
+    trivial_group, lambda: cyclic_group(4), lambda: symmetric_group(4),
+    lambda: direct_product(cyclic_group(2), symmetric_group(3)),
+    lambda: wreath(cyclic_group(2), 3), lambda: wreath(cyclic_group(3), 2),
+    lambda: wreath(symmetric_group(3), 2)],
+    ids=["1", "Z4", "S4", "Z2xS3", "Z2wrS3", "Z3wrS2", "S3wrS2"])
+def test_pair_tables_match_brute_force_partition(make):
+    G = make()
+    reps, rep_of, sizes = brute_pair_classes(G)
+    assert G.commuting_pair_classes() == tuple(reps)
+    for (g, h), rep in rep_of.items():
+        assert G.pair_class_rep(g, h) == rep
+    for g, h in reps:
+        assert G.pair_class_size(g, h) == sizes[(g, h)]
+    non_commuting = next(((g, h) for g in G.elements for h in G.elements
+                          if G.mul(g, h) != G.mul(h, g)), None)
+    if non_commuting is not None:
+        with pytest.raises(ValueError):
+            G.pair_class_rep(*non_commuting)
 
 
 def test_pair_class_sizes_sum_to_pair_count():

@@ -199,6 +199,38 @@ def test_cli_rejects_non_object_input(tmp_path):
         assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
 
 
+def test_cli_input_errors_are_usage_errors(tmp_path):
+    # non-integral Faber input and a too-deeply nested file exit 2, not
+    # with a traceback and the code reserved for failed verifications
+    half = tmp_path / "half.json"
+    half.write_text(dumps(series_to_json(PuiseuxSeries({-1: 1, 0: Fraction(1, 2)}))))
+    zeta = tmp_path / "zeta.json"
+    zeta.write_text(dumps(series_to_json(PuiseuxSeries({-1: 1, 0: root_of_unity(3, 1)}))))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    cases = [(cmd, f) for f in (half, zeta)
+             for cmd in (("faber", "--n", "1"), ("replicable", "--nmax", "1", "--order", "1"))]
+    cases.append((("hecke", "--n", "1"), deep))
+    for cmd, f in cases:
+        out = run_cli(*cmd, "--input", str(f))
+        assert out.returncode == 2, (cmd, f.name)
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+
+
+def test_cli_internal_error_exits_3(monkeypatch, capsys):
+    import tatek.cli as cli
+
+    def boom(args):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, "cmd_jseries", boom)
+    assert cli.main(["jseries", "--order", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_replicable_order_zero_with_j():
     out = run_cli("replicable", "--nmax", "1", "--order", "0", "--j")
     assert out.returncode == 0 and json.loads(out.stdout)["ok"] is True
