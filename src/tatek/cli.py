@@ -265,6 +265,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _at_least(args.size_cap, 1, "--size-cap")
         return args.func(args)
     except ValueError as exc:  # FormatError, InsufficientTruncation, SizeCapExceeded too
         print(f"error: {exc}", file=sys.stderr)

@@ -8,13 +8,17 @@ conjugation) are computed on demand and cached. Class and pair-class
 representatives are the first members in enumeration order, which makes
 every derived table deterministic.
 
-One conjugacy walk builds every table. The commuting-pair classes are
-the disjoint union, over the classes [r] of G, of the conjugacy classes
-of the centralizer C_r: the class of (g, h) is represented by (r, h')
-with r the class representative of g and h' the C_r-class representative
-of the conjugated partner, and it has |[r]| * |[h']_{C_r}| members. The
-pair table therefore holds exactly the commuting pairs, and a lookup
-needs no multiplication to reject a pair that does not commute.
+The commuting-pair classes are the disjoint union, over the classes [r]
+of G, of the conjugacy classes of the centralizer C_r: the class of
+(r, c) with c in C_r is represented by (r, h), h the first member of the
+C_r-class of c, and it has |[r]| * |[h]_{C_r}| members. One builder makes
+the tables in two ways. By default a conjugacy walk (O(|G|^2) products)
+finds the classes of G and of each C_r, and the pair table then holds
+exactly the commuting pairs. A subclass that knows complete invariants
+(`_class_key`, `_pair_key`) has its classes grouped by key instead, with
+no walk: wreath products key by cycle type and orbit data, direct
+products by the factors' classes. Its pair table then starts with the
+pairs (r, c) and memoises each other pair on first lookup.
 
 Elements must be hashable; groups are immutable once built.
 """
@@ -92,7 +96,17 @@ def cycles_of(p: Perm, include_fixed: bool = True) -> list[tuple[int, ...]]:
 
 
 class FiniteGroup:
-    """A finite group with a fixed element enumeration."""
+    """A finite group with a fixed element enumeration.
+
+    A subclass may supply complete invariants: `_class_key(g)`, equal
+    exactly on conjugate elements, and `_pair_key(g, h, check)`, equal
+    exactly on simultaneously conjugate commuting pairs (with check set it
+    raises ValueError on a pair that does not commute). The tables are then
+    grouped by key instead of walked.
+    """
+
+    _class_key = None
+    _pair_key = None
 
     def __init__(self, elements: Iterable, mul: Callable, inv: Callable,
                  identity, name: str | None = None, check: bool = True):
@@ -112,6 +126,7 @@ class FiniteGroup:
         self._pair_classes = None
         self._pair_rep_map = None
         self._pair_class_sizes = None
+        self._pair_key_reps = None
         self._centralizers: dict = {}
         if check:
             self._check_axioms()
@@ -167,7 +182,10 @@ class FiniteGroup:
 
     def _conjugacy_data(self):
         if self._conjugacy is None:
-            self._conjugacy = _conjugacy_classes(self.elements, self.mul, self.inv)
+            if self._class_key is None:
+                self._conjugacy = _conjugacy_classes(self.elements, self.mul, self.inv)
+            else:
+                self._conjugacy = _classes_by_key(self.elements, self._class_key)
         return self._conjugacy
 
     def class_representatives(self) -> tuple:
@@ -182,17 +200,26 @@ class FiniteGroup:
 
     def conjugator_to_rep(self, g):
         """t with t g t^-1 equal to the class representative of g."""
-        return self._conjugacy_data()[3][g]
+        _, _, rep_of, to_rep = self._conjugacy_data()
+        if g not in to_rep:
+            # a keyed group finds the walk's conjugator on demand: the
+            # inverse of the first a with a r a^-1 = g
+            r = rep_of[g]
+            to_rep[g] = self.inv(next(a for a in self.elements if self.conjugate(a, r) == g))
+        return to_rep[g]
 
     def centralizer(self, g) -> tuple:
         cent = self._centralizers.get(g)
         if cent is None:
             if g not in self._index:
                 raise KeyError(g)
-            mul = self.mul
-            cent = self._centralizers[g] = tuple(
-                a for a in self.elements if mul(a, g) == mul(g, a))
+            cent = self._centralizers[g] = self._centralizer_elements(g)
         return cent
+
+    def _centralizer_elements(self, g) -> tuple:
+        """The elements commuting with g, in enumeration order."""
+        mul = self.mul
+        return tuple(a for a in self.elements if mul(a, g) == mul(g, a))
 
     # -- commuting pairs ----------------------------------------------
 
@@ -210,7 +237,13 @@ class FiniteGroup:
         self._build_pair_tables()
         rep = self._pair_rep_map.get((g, h))
         if rep is None:
-            raise ValueError(f"not a commuting pair of {self.name}: {(g, h)!r}")
+            if self._pair_key is None or g not in self._index or h not in self._index:
+                raise ValueError(f"not a commuting pair of {self.name}: {(g, h)!r}")
+            try:
+                key = self._pair_key(g, h, True)
+            except ValueError as exc:
+                raise ValueError(f"not a commuting pair of {self.name}: {(g, h)!r}") from exc
+            rep = self._pair_rep_map[(g, h)] = self._pair_key_reps[key]
         return rep
 
     def pair_class_size(self, g, h) -> int:
@@ -223,24 +256,46 @@ class FiniteGroup:
         data = self._conjugacy_data()
         reps, members, _, to_rep = data
         mul, inv = self.mul, self.inv
+        keyed = self._pair_key is not None
         pair_classes = []
         pair_rep: dict = {}
         sizes: dict = {}
+        key_reps: dict = {}
         for r in reps:
             cent = self.centralizer(r)
-            # the pair classes over [r] are the conjugacy classes of C_r
-            h_reps, h_members, h_rep, _ = (
-                data if len(cent) == len(self.elements) else _conjugacy_classes(cent, mul, inv))
+            # the pair classes over [r] are the conjugacy classes of C_r,
+            # labelled by pair key or by their first member
+            if keyed:
+                labels = [self._pair_key(r, c, False) for c in cent]
+            else:
+                h_rep = (data if len(cent) == len(self.elements)
+                         else _conjugacy_classes(cent, mul, inv))[2]
+                labels = [h_rep[c] for c in cent]
+            first: dict = {}
+            counts: dict = {}
+            for c, label in zip(cent, labels):
+                if label in counts:
+                    counts[label] += 1
+                else:
+                    first[label] = (r, c)
+                    counts[label] = 1
             class_size = len(members[r])
-            for h in h_reps:
-                pair_classes.append((r, h))
-                sizes[(r, h)] = class_size * len(h_members[h])
+            for label, pair in first.items():
+                pair_classes.append(pair)
+                sizes[pair] = class_size * counts[label]
+            if keyed:
+                # other pairs are classified on first lookup
+                key_reps.update(first)
+                for c, label in zip(cent, labels):
+                    pair_rep[(r, c)] = first[label]
+                continue
             # the commuting partners of g = t^-1 r t are t^-1 C_r t
             for g in members[r]:
                 t = to_rep[g]
                 t_inv = inv(t)
-                for c in cent:
-                    pair_rep[(g, mul(mul(t_inv, c), t))] = (r, h_rep[c])
+                for c, label in zip(cent, labels):
+                    pair_rep[(g, mul(mul(t_inv, c), t))] = first[label]
+        self._pair_key_reps = key_reps
         self._pair_classes = tuple(pair_classes)
         self._pair_rep_map = pair_rep
         self._pair_class_sizes = sizes
@@ -270,6 +325,26 @@ def _conjugacy_classes(elements: tuple, mul: Callable, inv: Callable):
                 cls.append(m)
         members[g] = tuple(cls)
     return tuple(reps), members, rep_of, to_rep
+
+
+def _classes_by_key(elements: tuple, class_key: Callable):
+    """The same tuple as `_conjugacy_classes`, grouped by a complete class
+    invariant: representatives are again first members, members are in
+    enumeration order, and to_rep starts empty (filled on demand)."""
+    reps = []
+    members: dict = {}
+    rep_of: dict = {}
+    rep_of_key: dict = {}
+    for g in elements:
+        key = class_key(g)
+        r = rep_of_key.get(key)
+        if r is None:
+            r = rep_of_key[key] = g
+            reps.append(g)
+            members[g] = []
+        members[r].append(g)
+        rep_of[g] = r
+    return tuple(reps), {r: tuple(m) for r, m in members.items()}, rep_of, {}
 
 
 # -- constructors ------------------------------------------------------
@@ -325,20 +400,44 @@ def trivial_group() -> FiniteGroup:
     return permutation_group(1, [], name="1")
 
 
+class DirectProduct(FiniteGroup):
+    """G x H, enumerated as pairs (a, b) with a running slowest. Its
+    classes and pair classes are pairs of the factors' classes, so its
+    tables need no walk."""
+
+    def __init__(self, G: FiniteGroup, H: FiniteGroup, name: str | None = None,
+                 size_cap: int = DEFAULT_SIZE_CAP):
+        if len(G) * len(H) > size_cap:
+            raise SizeCapExceeded(f"size cap {size_cap} exceeded")
+        self.factors = (G, H)
+        elements = [(a, b) for a in G.elements for b in H.elements]
+
+        def mul(x, y):
+            return (G.mul(x[0], y[0]), H.mul(x[1], y[1]))
+
+        def inv(x):
+            return (G.inv(x[0]), H.inv(x[1]))
+
+        super().__init__(elements, mul, inv, (G.identity, H.identity),
+                         name=name or f"{G.name} x {H.name}", check=False)
+
+    def _class_key(self, g):
+        G, H = self.factors
+        return G.class_rep(g[0]), H.class_rep(g[1])
+
+    def _pair_key(self, g, h, check):
+        # the factor lookups raise on a factor pair that does not commute
+        G, H = self.factors
+        return G.pair_class_rep(g[0], h[0]), H.pair_class_rep(g[1], h[1])
+
+    def _centralizer_elements(self, g) -> tuple:
+        G, H = self.factors
+        return tuple(itertools.product(G.centralizer(g[0]), H.centralizer(g[1])))
+
+
 def direct_product(G: FiniteGroup, H: FiniteGroup, name: str | None = None,
-                   size_cap: int = DEFAULT_SIZE_CAP) -> FiniteGroup:
-    if len(G) * len(H) > size_cap:
-        raise SizeCapExceeded(f"size cap {size_cap} exceeded")
-    elements = [(a, b) for a in G.elements for b in H.elements]
-
-    def mul(x, y):
-        return (G.mul(x[0], y[0]), H.mul(x[1], y[1]))
-
-    def inv(x):
-        return (G.inv(x[0]), H.inv(x[1]))
-
-    return FiniteGroup(elements, mul, inv, (G.identity, H.identity),
-                       name=name or f"{G.name} x {H.name}", check=False)
+                   size_cap: int = DEFAULT_SIZE_CAP) -> DirectProduct:
+    return DirectProduct(G, H, name, size_cap)
 
 
 class Homomorphism:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cyclotomic import Cyclotomic
 from .devoto import DevotoElement
-from .groups import DEFAULT_SIZE_CAP, FiniteGroup, permutation_group
+from .groups import DEFAULT_SIZE_CAP, FiniteGroup, SizeCapExceeded, permutation_group
 from .series import BivariateSeries, PuiseuxSeries
 from .wreath import WreathElement, WreathGroup, wreath
 
@@ -113,7 +113,7 @@ def group_from_json(data, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteGroup:
             if sorted(g) != list(range(degree)):
                 raise FormatError(f"not a permutation of 1..{degree}: {g}")
         return permutation_group(degree, gens, name=data.get("name"), size_cap=size_cap)
-    except FormatError:
+    except (FormatError, SizeCapExceeded):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad group record: {exc}") from exc
@@ -175,7 +175,7 @@ def devoto_from_json(data, group: FiniteGroup | None = None,
                 raise FormatError(f"non-commuting entry ({entry['g']}, {entry['h']})")
             table[(g, h)] = series_from_json(entry["series"])
         return DevotoElement(G, table, int(data.get("level", 1)))
-    except FormatError:
+    except (FormatError, SizeCapExceeded):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad element table: {exc}") from exc
@@ -196,7 +196,7 @@ def repchar_from_json(data, group: FiniteGroup | None = None,
         values = {element_from_json(v["class_rep"], G): cyclotomic_from_json(v["value"])
                   for v in data["values"]}
         return RepCharacter(G, values)
-    except FormatError:
+    except (FormatError, SizeCapExceeded):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad character record: {exc}") from exc

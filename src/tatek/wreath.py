@@ -12,6 +12,16 @@ Hecke-operator character formulas.
 Base-point choices (which element starts a cycle, which cycle starts an
 orbit) are configurable; changing them moves (holonomy, multiplier) by
 simultaneous conjugation and never changes (k, N, M).
+
+The same data classify the group. An element is conjugate to another
+exactly when both have the same cycle lengths with the same classes of
+cycle products, and a commuting pair is simultaneously conjugate to
+another exactly when both have the same multiset of (k, N, M, pair class
+of holonomy and multiplier): the pair is a G-bundle over a finite
+Z^2-set. `WreathGroup` hands these keys to the table builder of
+`FiniteGroup`, so its conjugacy and pair tables need no conjugacy walk;
+the elements are still enumerated, and representatives are still the
+first members in enumeration order.
 """
 
 from __future__ import annotations
@@ -51,7 +61,8 @@ def wreath_ops(G: FiniteGroup, n: int):
 
 
 class WreathGroup(FiniteGroup):
-    """Fully enumerated wreath product of a base group by S_n."""
+    """Fully enumerated wreath product of a base group by S_n, with its
+    classes and pair classes grouped by cycle type and orbit data."""
 
     def __init__(self, base_group: FiniteGroup, copies: int,
                  size_cap: int = DEFAULT_SIZE_CAP):
@@ -72,9 +83,50 @@ class WreathGroup(FiniteGroup):
         G = base_group
         mul, inv = wreath_ops(G, copies)
         e = WreathElement((G.identity,) * copies, identity_perm(copies))
+        self._base_keys = None
         super().__init__(elements, mul, inv, e,
                          name=f"{G.name} wr S{copies}",
                          check=size <= 20)
+
+    def _base_key_functions(self):
+        """Keys of base-group classes and pair classes as element indices.
+        The classes of an abelian base are its single elements and pairs,
+        so it needs no tables of its own."""
+        if self._base_keys is None:
+            G = self.base_group
+            index = G.index
+            if len(G.class_representatives()) == len(G):
+                self._base_keys = (index, lambda g, h: (index(g), index(h)))
+            else:
+                self._base_keys = (lambda g: index(G.class_rep(g)),
+                                   lambda g, h: tuple(map(index, G.pair_class_rep(g, h))))
+        return self._base_keys
+
+    def _class_key(self, w):
+        # conjugacy classes of G wr S_n: the cycle type of the permutation,
+        # each cycle labelled by the class of its cycle product
+        G = self.base_group
+        base_class = self._base_key_functions()[0]
+        return tuple(sorted((len(cyc), base_class(cycle_product(G, w.base, cyc)))
+                            for cyc in cycles_of(w.perm)))
+
+    def _pair_key(self, w, x, check):
+        # a commuting pair is a G-bundle over a finite Z^2-set: one orbit
+        # per transitive piece (k, N, M), labelled by the pair class of its
+        # holonomy and return multiplier
+        base_pair = self._base_key_functions()[1]
+        return tuple(sorted(
+            (d.cycle_length, d.orbit_size, d.shift, *base_pair(d.holonomy, d.multiplier))
+            for d in orbit_data(self.base_group, w.base, w.perm, x.base, x.perm,
+                                check=check)))
+
+    def _centralizer_elements(self, w) -> tuple:
+        # only an element whose permutation commutes with w's can commute with w
+        G, sigma = self.base_group, w.perm
+        perms = {p for p in itertools.permutations(sigma)
+                 if perm_mul(p, sigma) == perm_mul(sigma, p)}
+        return tuple(x for x in self.elements
+                     if x.perm in perms and centralizer_condition(G, w, x))
 
 
 def wreath(base_group: FiniteGroup, copies: int,

@@ -5,7 +5,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from tatek.groups import cyclic_group, symmetric_group
+from tatek.groups import cyclic_group, direct_product, symmetric_group
 from tatek.wreath import wreath
 from test_groups import brute_pair_classes
 
@@ -41,3 +41,12 @@ def test_tracer_counts_pair_classes():
             G = make()
             G.commuting_pair_classes()
         assert tracer.counts["groups.pair_classes"] == len(brute_pair_classes(G)[0])
+    # a direct product classifies its pairs through its factors' tables;
+    # they are built first, so that only the product's own classes count
+    factors = cyclic_group(2), symmetric_group(3)
+    for F in factors:
+        F.commuting_pair_classes()
+    with _load_tracing().Tracer() as tracer:
+        P = direct_product(*factors)
+        P.commuting_pair_classes()
+    assert tracer.counts["groups.pair_classes"] == len(brute_pair_classes(P)[0])

@@ -1,0 +1,50 @@
+"""Output bytes of the power operation, pinned by sha256.
+
+The digests were computed from the conjugacy-walk tables. A drift in
+which pair represents a class, or in the order of a product's pair
+classes, changes them without failing any identity check.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from tatek.devoto import external_product, random_devoto_element, restrict_along
+from tatek.groups import cyclic_group, direct_product, symmetric_group
+from tatek.powerops import p_str
+from tatek.serialize import devoto_to_json, dumps, element_to_json, series_to_json
+from tatek.wreath import block_sum_hom, wreath
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, make, n, digest", [
+    ("Z2", lambda: cyclic_group(2), 4,
+     "810df809348eade5750745ae9c705616f7fe6496a592c8ecd8ae94fdda8592c9"),
+    ("Z3", lambda: cyclic_group(3), 3,
+     "bb0d97deffa81f1c8e65a93ff323a0f50dd2047f76ea2d89626b2c73423db8ec"),
+    ("S3", lambda: symmetric_group(3), 2,
+     "3dfb337f323572953054286bd2047bc37493348af3eca2e74494f97d69e16736"),
+])
+def test_p_str_bytes_are_pinned(name, make, n, digest):
+    x = random_devoto_element(make(), random.Random(f"golden:{name}"), truncation=2)
+    assert _sha(dumps(devoto_to_json(p_str(x, n)))) == digest
+
+
+def test_block_sum_split_bytes_are_pinned():
+    # a product group has no generator record, so the table is written
+    # out in its own order, which is the product's pair-class order
+    Z2 = cyclic_group(2)
+    x = random_devoto_element(Z2, random.Random("golden:split"), truncation=2)
+    W1, W2, W3 = wreath(Z2, 1), wreath(Z2, 2), wreath(Z2, 3)
+    prod = direct_product(W1, W2)
+    lhs = restrict_along(p_str(x, 3, W3), block_sum_hom(prod, W1, W2, W3))
+    rhs = external_product(p_str(x, 1, W1), p_str(x, 2, W2), product_group=prod)
+    digest = "3ae0fb9bb1de22facc5bd5af6bab5079b4df06ab850965ee5512c8d91e5f85a4"
+    for side in (lhs, rhs):
+        text = dumps([[[element_to_json(w) for w in (*g, *h)], series_to_json(s)]
+                      for (g, h), s in side.table.items()])
+        assert _sha(text) == digest

@@ -179,12 +179,33 @@ def test_cli_rejects_out_of_range_degrees(tmp_path):
              ("powerop", "--n", "0", "--input", str(x)),
              ("denominator", "--order", "-2"),
              ("dmvv", "--coeffs", str(c), "--t-order", "2", "--q-order", "2"),
-             ("hecke", "--n", "2", "--input", str(x), "--group", str(g))]
+             ("hecke", "--n", "2", "--input", str(x), "--group", str(g)),
+             ("sym", "--n", "2", "--input", str(x), "--size-cap", "-1"),
+             ("jseries", "--order", "5", "--size-cap", "-3"),
+             ("--size-cap", "0", "jseries", "--order", "5")]
     for argv in cases:
         out = run_cli(*argv)
         assert out.returncode == 2, argv
         assert out.stdout == ""
         assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
+
+
+def test_cli_size_cap_error_is_not_a_format_error(tmp_path):
+    # a well-formed group over the cap reports the cap, whether the group
+    # comes from --group or is embedded in an element table
+    x = tmp_path / "x.json"
+    x.write_text(dumps(series_to_json(PuiseuxSeries({1: 1}, 4))))
+    g = tmp_path / "g.json"
+    g.write_text(dumps(group_to_json(symmetric_group(3))))
+    out = run_cli("hecke", "--n", "2", "--input", str(x), "--group", str(g), "--size-cap", "5")
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == "error: size cap 5 exceeded\n"
+    y = tmp_path / "y.json"
+    y.write_text(dumps(devoto_to_json(DevotoElement.constant(wreath(cyclic_group(2), 2),
+                                                             PuiseuxSeries({1: 1}, 4)))))
+    out = run_cli("epsilon", "--input", str(y), "--size-cap", "7")
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == "error: wreath product would have 8 elements (cap 7)\n"
 
 
 def test_cli_rejects_non_object_input(tmp_path):
