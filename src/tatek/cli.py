@@ -124,7 +124,7 @@ def cmd_sym(args) -> int:
     x = _load_series_or_element(args, args.size_cap)
     if not isinstance(x, DevotoElement):
         x = DevotoElement.constant(trivial_group(), x)
-    out = sym_str(x, args.n, method=args.method)
+    out = sym_str(x, args.n, method=args.method, size_cap=args.size_cap)
     _emit(args, devoto_to_json(out), _devoto_text(out))
     return 0
 

@@ -383,6 +383,8 @@ def permutation_group(degree: int, generators: Iterable[Perm], name: str | None 
 
 
 def symmetric_group(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteGroup:
+    if n < 0:
+        raise ValueError(f"symmetric group degree must be non-negative, got {n}")
     gens: list[Perm] = []
     if n >= 2:
         gens.append(perm_from_cycles(n, [(0, 1)]))
@@ -392,8 +394,9 @@ def symmetric_group(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteGroup:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    gen = tuple(list(range(1, n)) + [0]) if n > 1 else identity_perm(1)
-    return permutation_group(max(n, 1), [gen], name=f"Z{n}")
+    if n < 1:
+        raise ValueError(f"cyclic group order must be positive, got {n}")
+    return permutation_group(n, [tuple(range(1, n)) + (0,)], name=f"Z{n}")
 
 
 def trivial_group() -> FiniteGroup:

@@ -7,7 +7,9 @@ commuting wreath pair is the product, over the orbit data, of the value
 at (holonomy, multiplier) pushed through the exponent/root-of-unity
 substitution. Averaging over transitive pair classes gives the Hecke
 operators; averaging over all commuting pairs gives the symmetric powers,
-which are also reachable through exp of the Hecke generating series. The
+which are also reachable through exp of the Hecke generating series. Both
+averages over S_n run over its cycle types, read as the conjugacy classes
+of 1 wr S_n, with each class weighted by its size. The
 two symmetric-power routes share nothing past the substitution primitive,
 so their agreement (checked in the test suite) is a real identity, not a
 tautology.
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .devoto import DevotoElement, restrict_along
-from .groups import DEFAULT_SIZE_CAP, FiniteGroup, symmetric_group
+from .groups import DEFAULT_SIZE_CAP, FiniteGroup, trivial_group
 from .series import BivariateSeries, PuiseuxSeries, hecke_substitute, scale_exponents
 from .wreath import (MINIMAL_CONVENTION, OrbitConvention, WreathElement, WreathGroup,
                      cycle_product, cycles_of, iota_hom, orbit_data, wreath)
@@ -75,22 +77,19 @@ def p_top_eval(G: FiniteGroup, x, w: WreathElement) -> PuiseuxSeries:
 def s_top_total(x: PuiseuxSeries, t_order: int) -> BivariateSeries:
     """Total topological symmetric power: sum over n of t^n times the
     average of the power-operation values over the symmetric group."""
+    _check_degree(t_order)
     v = x.valuation()
     if not x.is_integral() or (v is not None and v < 0):
         raise ValueError("input must have integral exponents bounded below by 0")
-    from .groups import trivial_group
-
     T = trivial_group()
-    e = T.identity
     coeffs = {0: PuiseuxSeries.one(x.truncation)}
-    factorial = 1
     for n in range(1, t_order + 1):
-        factorial *= n
-        Sn = symmetric_group(n)
+        # S_n is 1 wr S_n; the value depends only on the cycle type
+        W = wreath(T, n)
         total = PuiseuxSeries.zero()
-        for tau in Sn.elements:
-            total = total + p_top_eval(T, x, WreathElement((e,) * n, tau))
-        coeffs[n] = total * Fraction(1, factorial)
+        for sigma in W.class_representatives():
+            total = total + p_top_eval(T, x, sigma) * len(W.conjugacy_class(sigma))
+        coeffs[n] = total * Fraction(1, len(W))
     return BivariateSeries(coeffs, t_order)
 
 
@@ -158,40 +157,49 @@ def hecke_scalar(s: PuiseuxSeries, n: int) -> PuiseuxSeries:
     return total * Fraction(1, n)
 
 
-def sym_str(x: DevotoElement, n: int, method: str = "exp") -> DevotoElement:
+def sym_str(x: DevotoElement, n: int, method: str = "exp",
+            size_cap: int = DEFAULT_SIZE_CAP) -> DevotoElement:
     """n-th stringy symmetric power.
 
     brute: average over all commuting pairs of S_n of the product of
     substituted values over the orbits of the pair (through the diagonal
-    orbit traversal). exp: coefficient of t^n in exp of the Hecke
+    orbit traversal). The pairs are enumerated one cycle type at a time:
+    a class representative sigma of S_n = 1 wr S_n with every tau in its
+    centralizer, weighted by the size of sigma's class; size_cap bounds
+    that wreath product. exp: coefficient of t^n in exp of the Hecke
     generating series. The two agree exactly; they share no code path
     past the substitution primitive.
     """
+    _check_degree(n)
     if method == "brute":
-        return _sym_brute(x, n)
+        return _sym_brute(x, n, size_cap)
     if method == "exp":
         return _sym_exp_total(x, n)[n]
     raise ValueError(f"unknown method {method!r}")
 
 
-def _sym_brute(x: DevotoElement, n: int) -> DevotoElement:
+def _check_degree(n: int):
+    if n < 0:
+        raise ValueError(f"degree must be non-negative, got {n}")
+
+
+def _sym_brute(x: DevotoElement, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> DevotoElement:
     if x.level != 1:
         raise ValueError("symmetric powers take level-1 input")
     G = x.group
     if n == 0:
         return DevotoElement.constant(G, PuiseuxSeries.one(x.truncation()))
-    Sn = symmetric_group(n)
-    # orbit parameter profiles (multiset of (k, N, m)) with multiplicities
+    T = trivial_group()
+    W = wreath(T, n, size_cap)
+    # orbit parameter profiles (multiset of (k, N, m)) with multiplicities;
+    # a pair (sigma, tau) of S_n = 1 wr S_n stands for sigma's whole class
     profiles: dict[tuple, int] = {}
-    for sigma in Sn.elements:
-        for tau in Sn.centralizer(sigma):
-            e = G.identity
-            data = orbit_data(G, (e,) * n, sigma, (e,) * n, tau, check=False)
+    for sigma in W.class_representatives():
+        weight = len(W.conjugacy_class(sigma))
+        for tau in W.centralizer(sigma):
+            data = orbit_data(T, *sigma, *tau, check=False)
             key = tuple(sorted((d.cycle_length, d.orbit_size, d.shift) for d in data))
-            profiles[key] = profiles.get(key, 0) + 1
-    factorial = 1
-    for i in range(2, n + 1):
-        factorial *= i
+            profiles[key] = profiles.get(key, 0) + weight
     table = {}
     for (g, h) in G.commuting_pair_classes():
         cache: dict = {}
@@ -209,7 +217,7 @@ def _sym_brute(x: DevotoElement, n: int) -> DevotoElement:
             for (k, N, m) in profile:
                 value = value * substituted(k, N, m)
             total = total + value * count
-        table[(g, h)] = total * Fraction(1, factorial)
+        table[(g, h)] = total * Fraction(1, len(W))
     return DevotoElement(G, table, level=1)
 
 
@@ -230,6 +238,7 @@ def _sym_exp_total(x: DevotoElement, t_order: int) -> list[DevotoElement]:
 def sym_total(x: DevotoElement, t_order: int, method: str = "exp") -> list[DevotoElement]:
     """Symmetric powers 0..t_order as a list (the total symmetric power,
     one Devoto element per t-degree)."""
+    _check_degree(t_order)
     if method == "exp":
         return _sym_exp_total(x, t_order)
     if method == "brute":

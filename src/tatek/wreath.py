@@ -66,6 +66,8 @@ class WreathGroup(FiniteGroup):
 
     def __init__(self, base_group: FiniteGroup, copies: int,
                  size_cap: int = DEFAULT_SIZE_CAP):
+        if copies < 0:
+            raise ValueError(f"wreath copies must be non-negative, got {copies}")
         self.base_group = base_group
         self.copies = copies
         size = len(base_group) ** copies

@@ -1,4 +1,4 @@
-"""Output bytes of the power operation, pinned by sha256.
+"""Output bytes of the power operations, pinned by sha256.
 
 The digests were computed from the conjugacy-walk tables. A drift in
 which pair represents a class, or in the order of a product's pair
@@ -12,7 +12,7 @@ import pytest
 
 from tatek.devoto import external_product, random_devoto_element, restrict_along
 from tatek.groups import cyclic_group, direct_product, symmetric_group
-from tatek.powerops import p_str
+from tatek.powerops import p_str, sym_str
 from tatek.serialize import devoto_to_json, dumps, element_to_json, series_to_json
 from tatek.wreath import block_sum_hom, wreath
 
@@ -32,6 +32,13 @@ def _sha(text: str) -> str:
 def test_p_str_bytes_are_pinned(name, make, n, digest):
     x = random_devoto_element(make(), random.Random(f"golden:{name}"), truncation=2)
     assert _sha(dumps(devoto_to_json(p_str(x, n)))) == digest
+
+
+def test_sym_brute_bytes_are_pinned():
+    # the input and digest of the scaling probe's sym_str brute S3 n=6 row
+    x = random_devoto_element(symmetric_group(3), random.Random("scaling:0"), truncation=2)
+    digest = "80ce04944bd6d72b5f6e759bdb48cd5c7138422cc8ad7f30b9e5227846937cc1"
+    assert _sha(dumps(devoto_to_json(sym_str(x, 6, "brute")))) == digest
 
 
 def test_block_sum_split_bytes_are_pinned():

@@ -40,6 +40,11 @@ def test_generation_rejects_malformed_and_oversize():
         permutation_group(3, [(0, 0, 1)])
     with pytest.raises(SizeCapExceeded):
         symmetric_group(8, size_cap=1000)
+    assert len(symmetric_group(0)) == 1 and len(cyclic_group(1)) == 1
+    for make in (lambda: cyclic_group(0), lambda: cyclic_group(-2),
+                 lambda: symmetric_group(-1)):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_conjugacy_data_s3():

@@ -13,9 +13,10 @@ from tatek.groups import cyclic_group, direct_product, symmetric_group, trivial_
 from tatek.powerops import (compare_class_functions, hecke_T, hecke_scalar,
                             lambda_str_total, p_str, p_top_eval, s_top_total, sym_str,
                             sym_total, transitive_classes, verify_iterated)
+from tatek.serialize import devoto_to_json, dumps
 from tatek.series import BivariateSeries, PuiseuxSeries, hecke_substitute
-from tatek.wreath import (OrbitConvention, WreathElement, block_sum_hom, unzip_hom,
-                          wreath)
+from tatek.wreath import (OrbitConvention, WreathElement, block_sum_hom, orbit_data,
+                          unzip_hom, wreath)
 
 T1 = trivial_group()
 E = T1.identity
@@ -89,6 +90,8 @@ def test_s_top_rejects_fractional_or_negative():
         s_top_total(PuiseuxSeries.monomial(1, Fraction(1, 2), 4), 2)
     with pytest.raises(ValueError):
         s_top_total(PuiseuxSeries.monomial(1, -1, 4), 2)
+    with pytest.raises(ValueError, match="non-negative"):
+        s_top_total(PuiseuxSeries.one(4), -1)
 
 
 # -- stringy operation ----------------------------------------------------
@@ -135,8 +138,6 @@ def test_p_str_outputs_are_valid_with_bounded_denominators():
 
 
 def test_p_str_choice_independence_is_bitwise():
-    from tatek.serialize import devoto_to_json, dumps
-
     Z2 = cyclic_group(2)
     x = random_devoto_element(Z2, random.Random(41), truncation=2)
     W = wreath(Z2, 3)
@@ -181,11 +182,14 @@ def test_sym_contract_examples():
         assert sym_str(xq, 2, method).eval(E, E).terms == {Fraction(2): Cyclotomic.one()}
 
 
+@pytest.mark.parametrize("method", ["exp", "brute"])
 @pytest.mark.parametrize("c", [1, 2, 3])
-def test_sym_of_constants_gives_partition_products(c):
+def test_sym_of_constants_gives_partition_products(c, method):
+    # for brute at c = 1 this is the count of n! p(n) commuting pairs in S_n
+    # (Bryan-Fulman), read without any Hecke operator
     x = DevotoElement.constant(T1, PuiseuxSeries({0: c}, 10))
     t_order = 5
-    total = sym_total(x, t_order, method="exp")
+    total = sym_total(x, t_order, method=method)
     rhs = BivariateSeries.one(t_order)
     for k in range(1, t_order + 1):
         base = BivariateSeries({0: PuiseuxSeries.one(), k: -PuiseuxSeries.one()}, t_order)
@@ -202,6 +206,45 @@ def test_sym_brute_equals_exp():
             x = random_devoto_element(G, rng, truncation=2)
             for n in range(5):
                 assert sym_str(x, n, "brute").agrees_with(sym_str(x, n, "exp"))
+
+
+def _sym_brute_over_all_of_sn(x, n):
+    """Oracle for sym_str brute: the same average, walked over every
+    sigma in S_n and every tau in S_n commuting with it."""
+    G = x.group
+    if n == 0:
+        return DevotoElement.constant(G, PuiseuxSeries.one(x.truncation()))
+    Sn = symmetric_group(n)
+    profiles: dict = {}
+    for sigma in Sn.elements:
+        for tau in Sn.centralizer(sigma):
+            e = G.identity
+            data = orbit_data(G, (e,) * n, sigma, (e,) * n, tau, check=False)
+            key = tuple(sorted((d.cycle_length, d.orbit_size, d.shift) for d in data))
+            profiles[key] = profiles.get(key, 0) + 1
+    table = {}
+    for (g, h) in G.commuting_pair_classes():
+        total = PuiseuxSeries.zero()
+        for profile, count in profiles.items():
+            value = PuiseuxSeries.one()
+            for (k, N, m) in profile:
+                pair = (G.power(g, k), G.mul(G.power(G.inv(g), m), G.power(h, N)))
+                value = value * hecke_substitute(x.eval(*pair), N, k, m)
+            total = total + value * count
+        table[(g, h)] = total * Fraction(1, len(Sn))
+    return DevotoElement(G, table, level=1)
+
+
+@pytest.mark.parametrize("name, make", [
+    ("1", trivial_group), ("Z2", lambda: cyclic_group(2)), ("Z3", lambda: cyclic_group(3)),
+    ("S3", lambda: symmetric_group(3)),
+])
+def test_sym_brute_by_cycle_type_matches_walk_over_all_pairs(name, make):
+    # byte-identical, so the profile counts and their order both match
+    x = random_devoto_element(make(), random.Random(f"brute:{name}"), truncation=2)
+    for n in range(6):
+        new = dumps(devoto_to_json(sym_str(x, n, "brute")))
+        assert new == dumps(devoto_to_json(_sym_brute_over_all_of_sn(x, n))), n
 
 
 def test_sym_outputs_are_valid_with_integral_trivial_part():
@@ -285,6 +328,13 @@ def test_power_operations_require_level_one():
         p_str(x, 2)
     with pytest.raises(ValueError):
         hecke_T(x, 2)
+    # sym and lambda also need a non-negative degree
+    x = DevotoElement.constant(T1, PuiseuxSeries.one(2))
+    for call in (lambda: sym_str(x, -1, "brute"), lambda: sym_str(x, -1, "exp"),
+                 lambda: sym_total(x, -1), lambda: sym_total(x, -1, "brute"),
+                 lambda: lambda_str_total(x, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            call()
 
 
 def test_p_top_accepts_class_rep_keyed_mappings():

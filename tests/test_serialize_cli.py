@@ -206,6 +206,10 @@ def test_cli_size_cap_error_is_not_a_format_error(tmp_path):
     out = run_cli("epsilon", "--input", str(y), "--size-cap", "7")
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr == "error: wreath product would have 8 elements (cap 7)\n"
+    # sym brute enumerates S_n as 1 wr S_n under the same cap
+    out = run_cli("sym", "--n", "5", "--method", "brute", "--input", str(x), "--size-cap", "10")
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == "error: wreath product would have 120 elements (cap 10)\n"
 
 
 def test_cli_rejects_non_object_input(tmp_path):

@@ -33,6 +33,9 @@ def test_wreath_sizes():
     assert len(wreath(symmetric_group(3), 2)) == 72
     with pytest.raises(SizeCapExceeded):
         wreath(symmetric_group(3), 4)
+    assert len(wreath(cyclic_group(2), 0)) == 1
+    with pytest.raises(ValueError, match="non-negative"):
+        wreath(cyclic_group(2), -1)
 
 
 def test_order_of_cycle_element():
