@@ -9,15 +9,19 @@ overflow anywhere.
 BACKEND = "pure"
 
 
-def convolve(a, b):
-    """Convolution of two integer coefficient lists (dense, ascending degree)."""
-    la, lb = len(a), len(b)
-    out = [0] * (la + lb - 1)
-    for i, ai in enumerate(a):
+def convolve(a, b, size=None):
+    """The first min(size, len(a) + len(b) - 1) coefficients, all of them
+    when size is None, of the product of two integer coefficient lists
+    (dense, ascending degree); products beyond them are never formed."""
+    n = len(a) + len(b) - 1
+    if size is not None and size < n:
+        n = size
+    out = [0] * n
+    for i, ai in enumerate(a[:n]):
         if ai:
-            for j, bj in enumerate(b):
+            for k, bj in enumerate(b[:n - i], i):
                 if bj:
-                    out[i + j] += ai * bj
+                    out[k] += ai * bj
     return out
 
 

@@ -30,10 +30,20 @@ def fraction_to_str(x: Fraction) -> str:
 
 
 def fraction_from_str(s) -> Fraction:
+    if isinstance(s, (bool, float)):  # Fraction would round or accept them
+        raise FormatError(f"bad rational {s!r}")
     try:
         return Fraction(s)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational {s!r}") from exc
+
+
+def _int_from_json(x) -> int:
+    """An integer field of a record; a JSON float or boolean is rejected,
+    not rounded."""
+    if isinstance(x, (bool, float)):
+        raise FormatError(f"expected an integer, got {x!r}")
+    return int(x)
 
 
 def cyclotomic_to_json(c: Cyclotomic) -> dict:
@@ -43,8 +53,8 @@ def cyclotomic_to_json(c: Cyclotomic) -> dict:
 
 def cyclotomic_from_json(data) -> Cyclotomic:
     try:
-        return Cyclotomic(int(data["order"]),
-                          {int(e): fraction_from_str(v) for e, v in data["terms"]})
+        return Cyclotomic(_int_from_json(data["order"]),
+                          {_int_from_json(e): fraction_from_str(v) for e, v in data["terms"]})
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad cyclotomic record: {exc}") from exc
 
@@ -58,7 +68,8 @@ def series_to_json(s: PuiseuxSeries) -> dict:
 
 def series_from_json(data) -> PuiseuxSeries:
     try:
-        terms = {Fraction(t["num"], t["den"]): cyclotomic_from_json(t["coeff"])
+        terms = {Fraction(_int_from_json(t["num"]), _int_from_json(t["den"])):
+                 cyclotomic_from_json(t["coeff"])
                  for t in data["terms"]}
         trunc = data.get("truncation")
         return PuiseuxSeries(terms, None if trunc is None else fraction_from_str(trunc))
@@ -76,9 +87,9 @@ def bivariate_to_json(b: BivariateSeries) -> dict:
 
 def bivariate_from_json(data) -> BivariateSeries:
     try:
-        return BivariateSeries({int(c["t"]): series_from_json(c["series"])
+        return BivariateSeries({_int_from_json(c["t"]): series_from_json(c["series"])
                                 for c in data["coefficients"]},
-                               int(data["t_truncation"]))
+                               _int_from_json(data["t_truncation"]))
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -104,11 +115,11 @@ def group_from_json(data, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteGroup:
     try:
         if "wreath" in data:
             inner = group_from_json(data["wreath"]["base_group"], size_cap)
-            return wreath(inner, int(data["wreath"]["copies"]), size_cap)
-        degree = int(data["degree"])
+            return wreath(inner, _int_from_json(data["wreath"]["copies"]), size_cap)
+        degree = _int_from_json(data["degree"])
         if degree < 1:
             raise FormatError(f"group degree must be positive, got {degree}")
-        gens = [tuple(i - 1 for i in g) for g in data["generators"]]
+        gens = [tuple(_int_from_json(i) - 1 for i in g) for g in data["generators"]]
         for g in gens:
             if sorted(g) != list(range(degree)):
                 raise FormatError(f"not a permutation of 1..{degree}: {g}")
@@ -134,10 +145,10 @@ def element_from_json(data, group: FiniteGroup):
             if not isinstance(group, WreathGroup):
                 raise FormatError("wreath element given for a plain group")
             base = tuple(element_from_json(x, group.base_group) for x in data["base"])
-            perm = tuple(i - 1 for i in data["perm"])
+            perm = tuple(_int_from_json(i) - 1 for i in data["perm"])
             el = WreathElement(base, perm)
         else:
-            el = tuple(i - 1 for i in data)
+            el = tuple(_int_from_json(i) - 1 for i in data)
         if el not in group:
             raise FormatError(f"element {data!r} is not in the group")
         return el
@@ -174,7 +185,7 @@ def devoto_from_json(data, group: FiniteGroup | None = None,
             if G.mul(g, h) != G.mul(h, g):
                 raise FormatError(f"non-commuting entry ({entry['g']}, {entry['h']})")
             table[(g, h)] = series_from_json(entry["series"])
-        return DevotoElement(G, table, int(data.get("level", 1)))
+        return DevotoElement(G, table, _int_from_json(data.get("level", 1)))
     except (FormatError, SizeCapExceeded):
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -210,7 +221,7 @@ def coeffs_from_json(data) -> dict[int, int]:
     try:
         out = {}
         for item in data["coeffs"]:
-            i, v = int(item["i"]), int(item["c"])
+            i, v = _int_from_json(item["i"]), _int_from_json(item["c"])
             if i in out:
                 raise FormatError(f"duplicate coefficient index {i}")
             out[i] = v

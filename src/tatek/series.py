@@ -21,7 +21,7 @@ shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, lcm
 from typing import Mapping, Union
 
 from ._kernel import convolve
@@ -30,10 +30,11 @@ from .cyclotomic import Cyclotomic, root_of_unity
 Scalar = Union[int, Fraction, Cyclotomic]
 Exponent = Union[int, Fraction]
 
-# products of series with this many integral exponents inside this span
-# take the dense convolution path
+# rational products with integral exponents and this many term pairs take
+# the dense convolution path when each operand, cut at the truncation, has
+# fewer than this many exponent slots per term (measured break-even: 32-64)
 _DENSE_MIN_TERMS = 8
-_DENSE_MAX_SPAN = 512
+_DENSE_SLOTS_PER_TERM = 32
 
 
 def _as_coeff(c: Scalar) -> Cyclotomic:
@@ -48,6 +49,13 @@ def _min_trunc(a: Fraction | None, b: Fraction | None) -> Fraction | None:
     if b is None:
         return a
     return min(a, b)
+
+
+def _truncation_of_product(ta, va, tb, vb):
+    """A factor known to ta times one of valuation vb (None: no terms,
+    taken as 0) is known to ta + vb; likewise tb + va."""
+    return _min_trunc(None if ta is None else ta + (vb or 0),
+                      None if tb is None else tb + (va or 0))
 
 
 class PuiseuxSeries:
@@ -90,10 +98,7 @@ class PuiseuxSeries:
     @property
     def denominator(self) -> int:
         """Least common denominator of all stored exponents."""
-        d = 1
-        for e in self.terms:
-            d = d * e.denominator // gcd(d, e.denominator)
-        return d
+        return lcm(*(e.denominator for e in self.terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -109,7 +114,7 @@ class PuiseuxSeries:
         return sorted(self.terms)
 
     def truncated(self, truncation: Exponent | None) -> "PuiseuxSeries":
-        return PuiseuxSeries(self.terms, _min_trunc(self.truncation, None if truncation is None else Fraction(truncation)))
+        return _series(self.terms, _min_trunc(self.truncation, None if truncation is None else Fraction(truncation)))
 
     def is_integral(self) -> bool:
         """True when every exponent is an integer."""
@@ -169,11 +174,8 @@ class PuiseuxSeries:
         return self.__mul__(other)
 
     def _product_truncation(self, other: "PuiseuxSeries") -> Fraction | None:
-        # a known to Ta times b with valuation vb is known to Ta + vb.
-        va, vb = self.valuation(), other.valuation()
-        ta = None if self.truncation is None else self.truncation + (vb if vb is not None else 0)
-        tb = None if other.truncation is None else other.truncation + (va if va is not None else 0)
-        return _min_trunc(ta, tb)
+        return _truncation_of_product(self.truncation, self.valuation(),
+                                      other.truncation, other.valuation())
 
     def __pow__(self, n: int) -> "PuiseuxSeries":
         if n < 0:
@@ -338,9 +340,9 @@ def _from_lattice(d: int, values: list, trunc: Fraction) -> PuiseuxSeries:
 
 
 def _dense_rational_product(a: PuiseuxSeries, b: PuiseuxSeries, trunc):
-    """Multiply two dense rational-coefficient series with integral
-    exponents through the integer convolution kernel; None when the
-    inputs do not fit that shape."""
+    """The product a * b known to trunc, through the integer convolution
+    kernel; None when the operands are not rational series with integral
+    exponents, or are too sparse for the dense path."""
     if len(a.terms) * len(b.terms) < _DENSE_MIN_TERMS:
         return None
     for s in (a, b):
@@ -348,31 +350,27 @@ def _dense_rational_product(a: PuiseuxSeries, b: PuiseuxSeries, trunc):
             if e.denominator != 1 or c.order != 1:
                 return None
     va, vb = int(min(a.terms)), int(min(b.terms))
-    span_a = int(max(a.terms)) - va
-    span_b = int(max(b.terms)) - vb
-    if span_a + span_b > _DENSE_MAX_SPAN:
-        return None
-
-    def dense(s, v, span):
-        den = 1
-        for c in s.terms.values():
-            f = c.as_fraction()
-            den = den * f.denominator // gcd(den, f.denominator)
-        nums = [0] * (span + 1)
-        for e, c in s.terms.items():
-            f = c.as_fraction()
-            nums[int(e) - v] = f.numerator * (den // f.denominator)
-        return nums, den
-
-    na, da = dense(a, va, span_a)
-    nb, db = dense(b, vb, span_b)
-    conv = convolve(na, nb)
-    den = da * db
     base = va + vb
-    if trunc is not None:
-        conv = conv[:max(floor(trunc) - base + 1, 0)]
+    size = None if trunc is None else floor(trunc) - base + 1
+    if size is not None and size <= 0:
+        return _series({}, trunc)
+    den, dense = 1, []
+    for s, v in ((a, va), (b, vb)):
+        # a term at offset size or more from its valuation lands above trunc
+        terms = [(int(e) - v, c.as_fraction()) for e, c in s.terms.items()]
+        if size is not None:
+            terms = [t for t in terms if t[0] < size]
+        slots = max(i for i, _ in terms) + 1
+        if slots >= _DENSE_SLOTS_PER_TERM * len(terms):
+            return None
+        d = lcm(*(f.denominator for _, f in terms))
+        nums = [0] * slots
+        for i, f in terms:
+            nums[i] = f.numerator * (d // f.denominator)
+        dense.append(nums)
+        den *= d
     return _series({Fraction(base + i): Cyclotomic.from_rational(Fraction(n, den))
-                    for i, n in enumerate(conv) if n}, trunc)
+                    for i, n in enumerate(convolve(*dense, size)) if n}, trunc)
 
 
 def hecke_substitute(s: PuiseuxSeries, n: int, k: int, m: int) -> PuiseuxSeries:
@@ -472,11 +470,8 @@ class BivariateSeries:
             return BivariateSeries({n: s * other for n, s in self.terms.items()}, self.t_truncation)
         if not isinstance(other, BivariateSeries):
             return NotImplemented
-        va, vb = self.t_valuation(), other.t_valuation()
-        trunc = min(
-            self.t_truncation + (vb if vb is not None else 0),
-            other.t_truncation + (va if va is not None else 0),
-        )
+        trunc = _truncation_of_product(self.t_truncation, self.t_valuation(),
+                                       other.t_truncation, other.t_valuation())
         out: dict[int, PuiseuxSeries] = {}
         for na, sa in self.terms.items():
             for nb, sb in other.terms.items():

@@ -1,8 +1,9 @@
-"""Output bytes of the power operations, pinned by sha256.
+"""Output bytes of the power operations and of a long j-series, pinned by
+sha256.
 
-The digests were computed from the conjugacy-walk tables. A drift in
-which pair represents a class, or in the order of a product's pair
-classes, changes them without failing any identity check.
+The power-operation digests were computed from the conjugacy-walk
+tables. A drift in which pair represents a class, or in the order of a
+product's pair classes, changes them without failing any identity check.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import pytest
 
 from tatek.devoto import external_product, random_devoto_element, restrict_along
 from tatek.groups import cyclic_group, direct_product, symmetric_group
+from tatek.moonshine import jseries
 from tatek.powerops import p_str, sym_str
 from tatek.serialize import devoto_to_json, dumps, element_to_json, series_to_json
 from tatek.wreath import block_sum_hom, wreath
@@ -55,3 +57,10 @@ def test_block_sum_split_bytes_are_pinned():
         text = dumps([[[element_to_json(w) for w in (*g, *h)], series_to_json(s)]
                       for (g, h), s in side.table.items()])
         assert _sha(text) == digest
+
+
+def test_jseries_bytes_are_pinned():
+    # the jseries 300 row of perfbench/scaling-baseline.json: E4 * E4 spans
+    # 600 exponents, wider than the dense product path once allowed
+    digest = "4cda2dc2c53a61e1d51640bbaa767b2d8632d2e694b0d6c50163e921e5d41a10"
+    assert _sha(dumps(series_to_json(jseries(300).series))) == digest

@@ -23,6 +23,8 @@ def test_convolve_is_the_polynomial_product():
         assert len(c) == len(a) + len(b) - 1
         for x in (-1, 2, 3, 10**6):
             assert _evaluate(c, x) == _evaluate(a, x) * _evaluate(b, x)
+        for size in range(1, len(a) + len(b) + 2):
+            assert convolve(a, b, size) == c[:size]
 
 
 def test_monic_rem_recovers_the_remainder():

@@ -95,6 +95,15 @@ def test_devoto_loader_rejects_bad_entries():
     bad["entries"][0]["h"] = [1, 3, 2]
     with pytest.raises(FormatError):
         devoto_from_json(bad)
+    # JSON floats and booleans are not rounded into integer fields
+    for edit in (lambda d: d.update(level=True), lambda d: d.update(level=1.0),
+                 lambda d: d["group"].update(degree=2.9),
+                 lambda d: d["entries"][0].update(g=[1.0, 2, 3]),
+                 lambda d: d["entries"][0]["series"]["terms"][0]["coeff"].update(order=True)):
+        bad = json.loads(dumps(data))
+        edit(bad)
+        with pytest.raises(FormatError):
+            devoto_from_json(bad)
 
 
 def test_repchar_roundtrip():
@@ -233,12 +242,31 @@ def test_cli_input_errors_are_usage_errors(tmp_path):
     zeta.write_text(dumps(series_to_json(PuiseuxSeries({-1: 1, 0: root_of_unity(3, 1)}))))
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000)
-    cases = [(cmd, f) for f in (half, zeta)
+    cases = [(*cmd, "--input", str(f)) for f in (half, zeta)
              for cmd in (("faber", "--n", "1"), ("replicable", "--nmax", "1", "--order", "1"))]
-    cases.append((("hecke", "--n", "1"), deep))
-    for cmd, f in cases:
-        out = run_cli(*cmd, "--input", str(f))
-        assert out.returncode == 2, (cmd, f.name)
+    cases.append(("hecke", "--n", "1", "--input", str(deep)))
+    # JSON floats and booleans in exact fields are rejected, not rounded
+    element = devoto_to_json(DevotoElement.constant(cyclic_group(2), 1))
+    malformed = {
+        "float_coeff": {"terms": [{"num": 0, "den": 1,
+                                   "coeff": {"order": 1, "terms": [[0, 0.1]]}}],
+                        "truncation": 0.1},
+        "float_order": {"terms": [{"num": 0, "den": 1,
+                                   "coeff": {"order": 4.5, "terms": [[1.9, "1"]]}}],
+                        "truncation": None},
+        "float_degree": {**element, "group": {**element["group"], "degree": 2.9}},
+        "bool_level": {**element, "level": True},
+    }
+    for name, payload in malformed.items():
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(payload))
+        cases.append(("hecke", "--n", "1", "--input", str(f)))
+    float_c = tmp_path / "float_c.json"
+    float_c.write_text(json.dumps({"coeffs": [{"i": 1, "c": 1.7}]}))
+    cases.append(("dmvv", "--coeffs", str(float_c), "--t-order", "2", "--q-order", "2"))
+    for argv in cases:
+        out = run_cli(*argv)
+        assert out.returncode == 2, argv
         assert out.stdout == ""
         assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1, out.stderr
 

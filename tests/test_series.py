@@ -481,26 +481,54 @@ def test_bivariate_truncation_is_sound(op, data):
         assert wider.coefficient(n).agrees_with(r, up_to=r.truncation), n
 
 
+def _sparse_product(a, b):
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            out[ea + eb] = out.get(ea + eb, Cyclotomic.zero()) + ca * cb
+    return out
+
+
 def test_dense_product_path_matches_sparse_loop():
+    # operands spanning up to ~2000 exponents, term gaps of 1-100 and
+    # negative valuations, cut at no truncation, inside the operands or
+    # below both valuations
     from tatek.series import _dense_rational_product
 
-    rng = __import__("random").Random(17)
-    for _ in range(40):
-        a_terms = {rng.randint(-3, 20): rng.randint(-9, 9) for _ in range(rng.randint(3, 12))}
-        b_terms = {rng.randint(-3, 20): rng.randint(-9, 9) for _ in range(rng.randint(3, 12))}
-        trunc = rng.choice([None, 10, 25])
-        a = PuiseuxSeries(a_terms, trunc)
-        b = PuiseuxSeries(b_terms, trunc)
-        product = a * b  # may take either path depending on shape
-        slow = {}
-        bound = a._product_truncation(b)
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                e = ea + eb
-                if bound is not None and e > bound:
-                    continue
-                slow[e] = slow.get(e, Cyclotomic.zero()) + ca * cb
-        assert product == PuiseuxSeries(slow, bound)
-        dense = _dense_rational_product(a, b, bound)
-        if dense is not None:
-            assert dense == product
+    def bytes_of(s):
+        return dumps(series_to_json(s))
+
+    def draw(rng):
+        e, terms = rng.randint(-300, 40), {}
+        gap = rng.choice([1, 3, 10, 40, 100])
+        for _ in range(rng.randint(2, 40)):
+            terms[e] = Fraction(rng.choice([-9, -2, -1, 1, 3, 7]), rng.choice([1, 1, 2, 3]))
+            e += rng.randint(1, gap)
+        return terms
+
+    rng = random.Random(17)
+    dense_past_old_cap = 0
+    for _ in range(80):
+        a_terms, b_terms = draw(rng), draw(rng)
+        exps = sorted([*a_terms, *b_terms])
+        ta, tb = (rng.choice([None, rng.randint(exps[0], exps[-1])]) for _ in "ab")
+        a, b = PuiseuxSeries(a_terms, ta), PuiseuxSeries(b_terms, tb)
+        exact = _sparse_product(a, b)
+        results = [(a * b, a._product_truncation(b))]  # a * b may take either path
+        if a and b:
+            va, vb = int(a.valuation()), int(b.valuation())
+            top = int(max(a.terms) + max(b.terms))
+            for cut in (results[0][1], None, rng.randint(va + vb, top) + rng.choice([0, half]),
+                        min(va, vb) - rng.randint(1, 50)):
+                dense = _dense_rational_product(a, b, cut)
+                if dense is not None:
+                    results.append((dense, cut))
+                    dense_past_old_cap += cut is None and top - va - vb > 512
+        for got, cut in results:
+            want = PuiseuxSeries(exact, cut)
+            assert got == want and bytes_of(got) == bytes_of(want)
+    assert dense_past_old_cap > 0
+    # a dense pass over these would allocate millions of slots
+    wide = PuiseuxSeries({0: 1, 10**6: 2, 2 * 10**6: 3})
+    assert _dense_rational_product(wide, wide, None) is None
+    assert wide * wide == PuiseuxSeries(_sparse_product(wide, wide))
