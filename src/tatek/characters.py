@@ -1,12 +1,14 @@
 """Character-level representation theory for the stringy Euler classes.
 
 Characters are class functions with cyclotomic values. Exterior and
-symmetric powers are computed through power sums (Newton's identities),
-eigenspace characters of a cyclic action through the orthogonality
-projection, and the stringy Euler class of a character assembles, per
-class [g], the ordinary Euler factor of the fixed subcharacter with the
-exterior-power factors of the rotation eigenspaces at fractional q
-powers. The wreath-sum character and the eigenvalue bookkeeping needed to
+symmetric powers are computed through power sums (Newton's identities).
+One orthogonality projection gives every eigenspace quantity: the trace
+of x on the zeta_l^j-eigenspace of g of order l is
+(1/l) sum_s chi(g^s x) zeta_l^(-js), its dimension at x = 1. The stringy
+Euler class assembles, per pair class (g, h), the Euler factor of the
+dual fixed part with the exterior-power factors of the rotation
+eigenspaces at fractional q powers, building each eigenspace's factor
+once. The wreath-sum character and the eigenvalue bookkeeping needed to
 compare Euler classes with power operations live here too.
 """
 
@@ -62,12 +64,6 @@ class RepCharacter:
     def regular(group: FiniteGroup) -> "RepCharacter":
         return RepCharacter(group, {group.identity: len(group)})
 
-    @staticmethod
-    def permutation(group: FiniteGroup) -> "RepCharacter":
-        """Character of the defining permutation action (fixed points)."""
-        return RepCharacter(group, {g: sum(1 for i, im in enumerate(g) if im == i)
-                                    for g in group.class_representatives()})
-
     def value(self, g) -> Cyclotomic:
         return self.values[self.group.class_rep(g)]
 
@@ -89,10 +85,6 @@ class RepCharacter:
 
     def conjugate(self) -> "RepCharacter":
         return RepCharacter(self.group, {g: v.conjugate() for g, v in self.values.items()})
-
-    def dual(self) -> "RepCharacter":
-        return RepCharacter(self.group, {g: self.value(self.group.inv(g))
-                                         for g in self.group.class_representatives()})
 
     def complexified(self) -> "RepCharacter":
         """Character of the underlying real form's complexification,
@@ -123,53 +115,72 @@ def _powers(mul, identity, x) -> list:
     return out
 
 
-def _eigen_count(values: list[Cyclotomic], zeta_inv: Cyclotomic) -> int:
-    """The orthogonality projection (1/L) sum_s values[s] zeta^-s, where
-    values[s] is a character at x^s for an element x of order L: the
-    multiplicity of zeta as an eigenvalue of x. Raises unless integral."""
+def _project(values: list[Cyclotomic], j: int) -> Cyclotomic:
+    """The orthogonality projection (1/l) sum_s values[s] zeta_l^(-js),
+    where values[s] is a character at g^s x for g of order l = len(values)
+    and x commuting with g: the trace of x on the zeta_l^j-eigenspace of
+    g, its dimension when x is the identity."""
+    l = len(values)
     acc = Cyclotomic.zero()
-    power = Cyclotomic.one()
-    for v in values:
-        acc = acc + v * power
-        power = power * zeta_inv
-    acc = acc * Fraction(1, len(values))
+    for s, v in enumerate(values):
+        acc = acc + v * root_of_unity(l, -j * s)
+    return acc * Fraction(1, l)
+
+
+def _eigen_count(values: list[Cyclotomic], j: int) -> int:
+    """Multiplicity of zeta_l^j as an eigenvalue of g, from the character
+    on the powers of g. Raises unless integral."""
+    acc = _project(values, j)
     if not acc.is_rational() or acc.as_fraction().denominator != 1:
         raise ValueError(f"non-integral eigenspace multiplicity {acc}; "
                          "the character is not genuine on this cyclic group")
     return int(acc.as_fraction())
 
 
-def eigen_multiplicity(chi: RepCharacter, g, j: int) -> int:
-    """Multiplicity of the eigenvalue exp(2*pi*i*j/|g|) of g acting on
-    the representation with character chi."""
-    G = chi.group
-    l = G.order_of(g)
-    if not 0 <= j < l:
-        raise ValueError(f"eigenvalue exponent {j} outside [0, {l})")
-    m = _eigen_count([chi.value(x) for x in _powers(G.mul, G.identity, g)],
-                     root_of_unity(l, -j))
+def _genuine_count(values: list[Cyclotomic], j: int) -> int:
+    """As _eigen_count, and raises on a negative multiplicity."""
+    m = _eigen_count(values, j)
     if m < 0:
         raise ValueError(f"negative eigenspace multiplicity {m}")
     return m
 
 
+def _root_count(values: list[Cyclotomic], zeta: Cyclotomic) -> int:
+    """Multiplicity of an arbitrary root of unity zeta; 0 unless zeta is
+    an l-th root of unity."""
+    l = len(values)
+    j = next((j for j in range(l) if root_of_unity(l, j) == zeta), None)
+    return 0 if j is None else _eigen_count(values, j)
+
+
+def _power_values(chi: RepCharacter, g) -> list[Cyclotomic]:
+    G = chi.group
+    return [chi.value(x) for x in _powers(G.mul, G.identity, g)]
+
+
+def eigen_multiplicity(chi: RepCharacter, g, j: int) -> int:
+    """Multiplicity of the eigenvalue exp(2*pi*i*j/|g|) of g acting on
+    the representation with character chi."""
+    values = _power_values(chi, g)
+    if not 0 <= j < len(values):
+        raise ValueError(f"eigenvalue exponent {j} outside [0, {len(values)})")
+    return _genuine_count(values, j)
+
+
 def eigen_multiplicity_root(chi: RepCharacter, g, zeta: Cyclotomic) -> int:
     """Multiplicity of an arbitrary root of unity as an eigenvalue of g."""
-    G = chi.group
-    if not (zeta ** G.order_of(g) == Cyclotomic.one()):
-        return 0
-    return _eigen_count([chi.value(x) for x in _powers(G.mul, G.identity, g)],
-                        zeta.inverse())
+    return _root_count(_power_values(chi, g), zeta)
 
 
 def age(chi: RepCharacter, g, doubled: bool = False) -> Fraction:
     """Weighted sum of rotation-eigenvalue exponents, sum_j (j/l) d_j over
     nontrivial eigenvalues. `doubled` applies the real-dimension factor 2
     convention; neither convention is privileged."""
-    l = chi.group.order_of(g)
+    values = _power_values(chi, g)
+    l = len(values)
     total = Fraction(0)
     for j in range(1, l):
-        total += Fraction(j, l) * eigen_multiplicity(chi, g, j)
+        total += Fraction(j, l) * _genuine_count(values, j)
     return 2 * total if doubled else total
 
 
@@ -197,16 +208,6 @@ def lambda_sym_char(chi: RepCharacter, h, kind: str, t_order: int) -> list[Cyclo
     for _ in range(t_order):
         powers.append(G.mul(powers[-1], h))
     return _power_series_coeffs(lambda i: chi.value(powers[i]), kind, t_order)
-
-
-def _lambda_at_minus_one(power_sum: Callable[[int], Cyclotomic], dim: int) -> Cyclotomic:
-    """Lambda_{-1} = alternating sum of the exterior powers, which kills
-    any character with a trivial summand."""
-    coeffs = _power_series_coeffs(power_sum, "lambda", dim)
-    total = Cyclotomic.zero()
-    for r, c in enumerate(coeffs):
-        total = total + (c if r % 2 == 0 else -c)
-    return total
 
 
 # -- wreath characters -----------------------------------------------------
@@ -237,9 +238,7 @@ def eigen_cycle_check(chi: RepCharacter, base, perm, zeta: Cyclotomic):
     mul, _ = wreath_ops(G, n)
     e = WreathElement((G.identity,) * n, identity_perm(n))
     powers = _powers(mul, e, WreathElement(tuple(base), tuple(perm)))
-    lhs = 0
-    if zeta ** len(powers) == Cyclotomic.one():
-        lhs = _eigen_count([_wreath_value(chi, x) for x in powers], zeta.inverse())
+    lhs = _root_count([_wreath_value(chi, x) for x in powers], zeta)
     rhs = 0
     for cycle in cycles_of(perm):
         rhs += eigen_multiplicity_root(chi, cycle_product(G, base, cycle),
@@ -263,48 +262,32 @@ def euler_str(chi: RepCharacter, q_order) -> DevotoElement:
     chi_c = chi.complexified()
     table = {}
     for (g, h) in G.commuting_pair_classes():
-        l = G.order_of(g)
         g_powers = _powers(G.mul, G.identity, g)
+        h_powers = _powers(G.mul, G.identity, h)
+        l, m = len(g_powers), len(h_powers)
 
-        h_powers = {0: G.identity}
+        def signed_lambda(char: RepCharacter, j: int, step: int) -> list[Cyclotomic]:
+            """(-1)^r times the r-th exterior power of the zeta_l^j
+            eigenspace of g in char at h^step, by Newton's identities on
+            the traces of the h^(step*i); [1] for a zero space."""
+            dim = _genuine_count([char.value(gs) for gs in g_powers], j)
+            if not dim:
+                return [Cyclotomic.one()]
+            coeffs = _power_series_coeffs(
+                lambda i: _project([char.value(G.mul(gs, h_powers[step * i % m]))
+                                    for gs in g_powers], j),
+                "lambda", dim)
+            return [c if r % 2 == 0 else -c for r, c in enumerate(coeffs)]
 
-        def h_power(i: int):
-            got = h_powers.get(i)
-            if got is None:
-                got = h_powers[i] = G.mul(h_powers[i - 1], h)
-            return got
-
-        def fixed_dual_power_sum(i: int) -> Cyclotomic:
-            hi = G.inv(h_power(i))
-            acc = Cyclotomic.zero()
-            for gs in g_powers:
-                acc = acc + chi.value(G.mul(gs, hi))
-            return acc * Fraction(1, l)
-
-        fixed_dim = eigen_multiplicity(chi, g, 0)
-        value = PuiseuxSeries({0: _lambda_at_minus_one(fixed_dual_power_sum, fixed_dim)}, T)
-
-        j = 1
-        while Fraction(j, l) <= T:
-            jm = j % l
-
-            def eigen_power_sum(i: int, jm=jm) -> Cyclotomic:
-                # trace of h^i on the zeta_l^jm eigenspace of g, by the
-                # orthogonality projection
-                hi = h_power(i)
-                acc = Cyclotomic.zero()
-                for s, gs in enumerate(g_powers):
-                    acc = acc + chi_c.value(G.mul(gs, hi)) * root_of_unity(l, -jm * s)
-                return acc * Fraction(1, l)
-
-            dim_j = eigen_multiplicity(chi_c, g, jm)
-            if dim_j:
-                exp = Fraction(j, l)
-                coeffs = _power_series_coeffs(eigen_power_sum, "lambda", dim_j)
-                factor = PuiseuxSeries(
-                    {exp * r: (c if r % 2 == 0 else -c) for r, c in enumerate(coeffs)}, T)
-                value = value * factor
-            j += 1
+        value = PuiseuxSeries({0: sum(signed_lambda(chi, 0, -1), Cyclotomic.zero())}, T)
+        rotations = {}
+        for j in range(1, int(T * l) + 1):
+            if j % l not in rotations:
+                rotations[j % l] = signed_lambda(chi_c, j % l, 1)
+            signed = rotations[j % l]
+            if len(signed) > 1:
+                value = value * PuiseuxSeries(
+                    {Fraction(j, l) * r: c for r, c in enumerate(signed)}, T)
         table[(g, h)] = value
     return DevotoElement(G, table, level=1)
 

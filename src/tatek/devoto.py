@@ -240,7 +240,9 @@ def random_devoto_element(group: FiniteGroup, rng, truncation, level: int = 1,
     table: dict = {}
     for g in group.class_representatives():
         l = group.order_of(g)
-        cent = group.centralizer(g)
+        # the pair-class representatives (g, h) in first-seen order of C_g
+        reps = list(dict.fromkeys(group.pair_class_rep(g, h)[1]
+                                  for h in group.centralizer(g)))
         bound = level * l
         entry: dict = {}
         lo = -bound if allow_negative else 0
@@ -250,13 +252,9 @@ def random_devoto_element(group: FiniteGroup, rng, truncation, level: int = 1,
             exponent = Fraction(j, bound)
             if exponent > T:
                 continue
-            values = {}
-            for h in cent:
-                rep = group.pair_class_rep(g, h)[1]
-                if rep not in values:
-                    values[rep] = Fraction(rng.randint(-3, 3))
+            values = {rep: Fraction(rng.randint(-3, 3)) for rep in reps}
             twist = j % l
-            for h in cent:
+            for h in reps:
                 acc = Cyclotomic.zero()
                 power = group.identity
                 for s in range(l):
@@ -265,11 +263,8 @@ def random_devoto_element(group: FiniteGroup, rng, truncation, level: int = 1,
                     power = group.mul(power, g)
                 acc = acc * Fraction(1, l)
                 if not acc.is_zero():
-                    key = (g, h)
-                    cur = entry.setdefault(key, {})
+                    cur = entry.setdefault(h, {})
                     cur[exponent] = cur.get(exponent, Cyclotomic.zero()) + acc
-        for h in cent:
-            pair = group.pair_class_rep(g, h)
-            if pair[0] == g:
-                table[pair] = PuiseuxSeries(entry.get((g, pair[1]), {}), T)
+        for h in reps:
+            table[(g, h)] = PuiseuxSeries(entry.get(h, {}), T)
     return DevotoElement(group, table, level)

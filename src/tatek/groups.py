@@ -73,7 +73,7 @@ def perm_from_cycles(degree: int, cycles: Iterable[Sequence[int]]) -> Perm:
     return tuple(images)
 
 
-def cycles_of(p: Perm, include_fixed: bool = True) -> list[tuple[int, ...]]:
+def cycles_of(p: Perm) -> list[tuple[int, ...]]:
     """Cycles of p, each written minimal point first, sorted by that point."""
     seen = set()
     out = []
@@ -87,8 +87,7 @@ def cycles_of(p: Perm, include_fixed: bool = True) -> list[tuple[int, ...]]:
             cyc.append(point)
             seen.add(point)
             point = p[point]
-        if include_fixed or len(cyc) > 1:
-            out.append(tuple(cyc))
+        out.append(tuple(cyc))
     return out
 
 

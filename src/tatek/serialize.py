@@ -123,7 +123,11 @@ def group_from_json(data, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteGroup:
         for g in gens:
             if sorted(g) != list(range(degree)):
                 raise FormatError(f"not a permutation of 1..{degree}: {g}")
-        return permutation_group(degree, gens, name=data.get("name"), size_cap=size_cap)
+        # a name is printed in messages, which stay one line
+        name = data.get("name")
+        if name is not None and not (isinstance(name, str) and name.isprintable()):
+            raise FormatError(f"bad group name {name!r}")
+        return permutation_group(degree, gens, name=name, size_cap=size_cap)
     except (FormatError, SizeCapExceeded):
         raise
     except (KeyError, TypeError, ValueError) as exc:

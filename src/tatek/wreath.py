@@ -70,12 +70,14 @@ class WreathGroup(FiniteGroup):
             raise ValueError(f"wreath copies must be non-negative, got {copies}")
         self.base_group = base_group
         self.copies = copies
-        size = len(base_group) ** copies
-        for i in range(2, copies + 1):
-            size *= i
-        if size > size_cap:
-            raise SizeCapExceeded(
-                f"wreath product would have {size} elements (cap {size_cap})")
+        # |G|^n n! as a running product, so an oversize n is rejected
+        # before the full product is formed
+        size = 1
+        for i in range(1, copies + 1):
+            size *= len(base_group) * i
+            if size > size_cap:
+                raise SizeCapExceeded(f"wreath product {base_group.name} wr S{copies} "
+                                      f"exceeds the size cap {size_cap}")
         perms = sorted(itertools.permutations(range(copies)))
         elements = [
             WreathElement(base, perm)
@@ -281,10 +283,9 @@ def orbit_data(G: FiniteGroup, g_base: Sequence, sigma: Perm, h_base: Sequence,
     n = len(sigma)
     if not (len(g_base) == len(h_base) == len(tau) == n):
         raise ValueError("base tuples and permutations must have one length")
-    w = WreathElement(tuple(g_base), tuple(sigma))
-    x = WreathElement(tuple(h_base), tuple(tau))
     noncentral = "second pair does not centralize the first"
-    if check and not centralizer_condition(G, w, x):
+    if check and not centralizer_condition(G, WreathElement(tuple(g_base), tuple(sigma)),
+                                           WreathElement(tuple(h_base), tuple(tau))):
         raise ValueError(noncentral)
 
     cycles, cycle_at = _based_cycles(sigma, convention)

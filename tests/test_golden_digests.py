@@ -1,5 +1,5 @@
-"""Output bytes of the power operations and of a long j-series, pinned by
-sha256.
+"""Output bytes of the power operations, the stringy Euler classes and a
+long j-series, pinned by sha256.
 
 The power-operation digests were computed from the conjugacy-walk
 tables. A drift in which pair represents a class, or in the order of a
@@ -9,8 +9,12 @@ product's pair classes, changes them without failing any identity check.
 import hashlib
 import random
 
+from fractions import Fraction
+
 import pytest
 
+from tatek.characters import RepCharacter, euler_str, wreath_sum_character
+from tatek.cyclotomic import root_of_unity
 from tatek.devoto import external_product, random_devoto_element, restrict_along
 from tatek.groups import cyclic_group, direct_product, symmetric_group
 from tatek.moonshine import jseries
@@ -64,3 +68,19 @@ def test_jseries_bytes_are_pinned():
     # 600 exponents, wider than the dense product path once allowed
     digest = "4cda2dc2c53a61e1d51640bbaa767b2d8632d2e694b0d6c50163e921e5d41a10"
     assert _sha(dumps(series_to_json(jseries(300).series))) == digest
+
+
+def test_euler_str_bytes_are_pinned():
+    # equal cyclotomics can be stored at different orders, so a projection
+    # or Newton sum that is reassociated can change these bytes
+    Z3, S3, Z4 = cyclic_group(3), symmetric_group(3), cyclic_group(4)
+    g3, g4 = (1, 2, 0), (1, 2, 3, 0)
+    faithful = RepCharacter(Z3, {Z3.power(g3, k): root_of_unity(3, k) for k in range(3)})
+    standard = RepCharacter(S3, {S3.identity: 2, (1, 0, 2): 0, (1, 2, 0): -1})
+    i_char = RepCharacter(Z4, {Z4.power(g4, k): root_of_unity(4, k) for k in range(4)})
+    classes = [euler_str(faithful + RepCharacter.regular(Z3), 2),
+               euler_str(standard, 3),
+               euler_str(i_char, Fraction(5, 2)),
+               euler_str(wreath_sum_character(faithful, 2, wreath(Z3, 2)), 1)]
+    digest = "8f1067663f41a4db69635c974a17547e58f69bd728d0b993d0389a7120751965"
+    assert _sha("".join(dumps(devoto_to_json(x)) for x in classes)) == digest

@@ -8,7 +8,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from tatek.cli import main as cli_main
 from tatek.cyclotomic import Cyclotomic, root_of_unity
 from tatek.devoto import DevotoElement, random_devoto_element
 from tatek.groups import cyclic_group, symmetric_group
@@ -214,11 +216,16 @@ def test_cli_size_cap_error_is_not_a_format_error(tmp_path):
                                                              PuiseuxSeries({1: 1}, 4)))))
     out = run_cli("epsilon", "--input", str(y), "--size-cap", "7")
     assert out.returncode == 2 and out.stdout == ""
-    assert out.stderr == "error: wreath product would have 8 elements (cap 7)\n"
+    assert out.stderr == "error: wreath product Z2 wr S2 exceeds the size cap 7\n"
     # sym brute enumerates S_n as 1 wr S_n under the same cap
     out = run_cli("sym", "--n", "5", "--method", "brute", "--input", str(x), "--size-cap", "10")
     assert out.returncode == 2 and out.stdout == ""
-    assert out.stderr == "error: wreath product would have 120 elements (cap 10)\n"
+    assert out.stderr == "error: wreath product 1 wr S5 exceeds the size cap 10\n"
+    # a degree whose n! has more digits than int-to-str allows is rejected
+    # before that product is formed
+    out = run_cli("sym", "--n", "20001", "--method", "brute", "--input", str(x))
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == "error: wreath product 1 wr S20001 exceeds the size cap 20000\n"
 
 
 def test_cli_rejects_non_object_input(tmp_path):
@@ -261,6 +268,13 @@ def test_cli_input_errors_are_usage_errors(tmp_path):
         f = tmp_path / f"{name}.json"
         f.write_text(json.dumps(payload))
         cases.append(("hecke", "--n", "1", "--input", str(f)))
+    # a group name is printed in the size-cap message, so it must be one
+    # printable line
+    named = tmp_path / "named.json"
+    named.write_text(json.dumps({"wreath": {"base_group": {"degree": 2, "generators": [[2, 1]],
+                                                           "name": "a\nb"},
+                                            "copies": 20001}}))
+    cases.append(("hecke", "--n", "1", "--input", str(half), "--group", str(named)))
     float_c = tmp_path / "float_c.json"
     float_c.write_text(json.dumps({"coeffs": [{"i": 1, "c": 1.7}]}))
     cases.append(("dmvv", "--coeffs", str(float_c), "--t-order", "2", "--q-order", "2"))
@@ -282,6 +296,103 @@ def test_cli_internal_error_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: ") and captured.err.count("\n") == 1
+
+
+# -- malformed JSON: any small value, or a record one step from valid -------
+
+_KEYS = ["order", "terms", "num", "den", "coeff", "truncation", "degree", "generators",
+         "name", "wreath", "base_group", "copies", "base", "perm", "group", "level",
+         "entries", "g", "h", "series", "coeffs", "i", "c"]
+_scalars = (st.integers(-5, 5) | st.sampled_from(["1/2", "1/0", "0", "-3", "2/4", "x", ""])
+            | st.floats(allow_nan=False, allow_infinity=False, width=16)
+            | st.booleans() | st.none())
+
+
+def _nest(children):
+    return (st.lists(children, max_size=3)
+            | st.dictionaries(st.sampled_from(_KEYS), children, max_size=3))
+
+
+_json_values = _scalars
+for _ in range(3):
+    _json_values = _scalars | _nest(_json_values)
+
+
+def _either(*strategies):
+    """One of the strategies, each drawn equally often."""
+    return st.integers(0, len(strategies) - 1).flatmap(lambda i: strategies[i])
+
+
+def _near(valid):
+    """A record field: well-formed four times in five, else any small value."""
+    return _either(valid, valid, valid, valid, _scalars)
+
+
+_cyclotomic = st.fixed_dictionaries({
+    "order": _near(st.integers(1, 4)),
+    "terms": _near(st.lists(st.tuples(st.integers(0, 3),
+                                      st.sampled_from(["1", "-2", "1/2", "1/0"])).map(list),
+                            max_size=2))})
+_series = st.fixed_dictionaries({
+    "terms": _near(st.lists(st.fixed_dictionaries({"num": _near(st.integers(-1, 3)),
+                                                   "den": _near(st.integers(1, 2)),
+                                                   "coeff": _near(_cyclotomic)}),
+                            max_size=3)),
+    "truncation": _near(st.sampled_from(["1", "2", "3/2", None]))})
+_plain_group = st.integers(1, 3).flatmap(lambda d: st.fixed_dictionaries(
+    {"degree": _near(st.just(d)),
+     "generators": _near(st.lists(st.permutations(range(1, d + 1))
+                                  | st.lists(st.integers(0, 4), max_size=3), max_size=2))},
+    optional={"name": st.sampled_from(["G", "Z2", "a\nb", 5])}))
+_group = _plain_group | st.fixed_dictionaries({"wreath": st.fixed_dictionaries(
+    {"base_group": _plain_group, "copies": _near(st.integers(0, 2))})})
+_element = (st.lists(st.integers(1, 3), min_size=1, max_size=3)
+            | st.fixed_dictionaries({"base": st.lists(st.lists(st.integers(1, 3), min_size=1,
+                                                               max_size=3), max_size=2),
+                                     "perm": st.permutations([1, 2])}))
+_table = st.fixed_dictionaries(
+    {"group": _near(_group),
+     "entries": _near(st.lists(st.fixed_dictionaries({"g": _element, "h": _element,
+                                                       "series": _series}), max_size=3))},
+    optional={"level": st.integers(0, 2)})
+_coeffs = st.fixed_dictionaries({"coeffs": _near(st.lists(st.fixed_dictionaries(
+    {"i": _near(st.integers(-1, 4)), "c": _near(st.integers(-3, 3))}), max_size=3))})
+
+_GROUP_COMMANDS = [("hecke",), ("sym", "--method", "exp"), ("sym", "--method", "brute"),
+                   ("powerop",), ("epsilon",)]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+def test_cli_malformed_json_exits_cleanly(data, tmp_path, capsys):
+    # every subcommand that reads JSON, on malformed or near-valid input:
+    # no exception escapes, and a usage error is one line on stderr
+    path, other = tmp_path / "in.json", tmp_path / "group.json"
+    kind = data.draw(st.sampled_from(["group", "faber", "replicable", "dmvv"]))
+    n = str(data.draw(st.integers(0, 3)))
+    if kind == "group":
+        command = data.draw(st.sampled_from(_GROUP_COMMANDS))
+        argv = [*command, "--input", str(path)] + ([] if command == ("epsilon",) else ["--n", n])
+        payload = data.draw(_either(_json_values, _series, _table))
+        if data.draw(st.booleans()):
+            other.write_text(json.dumps(data.draw(_either(_json_values, _group))))
+            argv += ["--group", str(other)]
+    elif kind == "dmvv":
+        argv = ["dmvv", "--coeffs", str(path), "--t-order", n, "--q-order", "2"]
+        payload = data.draw(_either(_json_values, _coeffs))
+    else:
+        argv = (["faber", "--n", n] if kind == "faber"
+                else ["replicable", "--nmax", n, "--order", "2"]) + ["--input", str(path)]
+        payload = data.draw(_either(_json_values, _series))
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = cli_main(argv + ["--size-cap", "50"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), (argv, payload, err)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_cli_replicable_order_zero_with_j():
