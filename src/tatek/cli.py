@@ -36,8 +36,6 @@ def _read_json(path: str):
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise FormatError(f"{path} nests too deeply") from exc
 
 
 def _load_series_or_element(args, size_cap: int):
@@ -269,6 +267,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:  # FormatError, InsufficientTruncation, SizeCapExceeded too
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:  # a JSON file, or a group record, nested past the stack
+        print("error: input nests too deeply", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

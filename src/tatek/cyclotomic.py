@@ -94,6 +94,8 @@ class Cyclotomic:
     __slots__ = ("order", "terms")
 
     def __init__(self, order: int, terms: Mapping[int, Rational]):
+        if order < 1:
+            raise ValueError("order must be positive")
         pairs = [(int(e), Fraction(c)) for e, c in terms.items()]
         nums, den = _reduce_exponents(order, pairs)
         obj = _from_dense(order, nums, den)

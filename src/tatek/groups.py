@@ -374,8 +374,7 @@ def permutation_group(degree: int, generators: Iterable[Perm], name: str | None 
                     nxt.append(y)
         frontier = nxt
     order.sort()
-    G = FiniteGroup(order, perm_mul, perm_inv, e, name=name,
-                    check=len(order) <= 60)
+    G = FiniteGroup(order, perm_mul, perm_inv, e, name=name, check=False)
     G.degree = degree
     G.generators = tuple(gens)
     return G

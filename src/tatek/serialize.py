@@ -6,10 +6,15 @@ truncation order. Groups are permutation generators (1-based image
 lists); wreath groups nest a base-group record with a copy count, and
 wreath elements are {"base": [...], "perm": [...]}. Every emitter sorts
 its keys and terms so identical values produce identical bytes.
+
+Every loader fails the same way: one `FormatError` naming the innermost
+malformed record, and a key given twice in one record is rejected, never
+overwritten.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 
@@ -22,6 +27,32 @@ from .wreath import WreathElement, WreathGroup, wreath
 
 class FormatError(ValueError):
     """Malformed interchange data."""
+
+
+def _loader(record: str):
+    """The input boundary of a loader: the errors of reading a malformed
+    record become one `FormatError` naming it."""
+    def decorate(load):
+        @functools.wraps(load)
+        def boundary(*args, **kwargs):
+            try:
+                return load(*args, **kwargs)
+            except (FormatError, SizeCapExceeded):
+                raise
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                raise FormatError(f"bad {record}: {exc}") from exc
+        return boundary
+    return decorate
+
+
+def _unique(pairs, what: str) -> dict:
+    """A dict of the (key, value) pairs; a repeated key is a FormatError."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise FormatError(f"duplicate {what} {key}")
+        out[key] = value
+    return out
 
 
 def fraction_to_str(x: Fraction) -> str:
@@ -51,12 +82,11 @@ def cyclotomic_to_json(c: Cyclotomic) -> dict:
             "terms": [[e, fraction_to_str(v)] for e, v in sorted(c.terms.items())]}
 
 
+@_loader("cyclotomic record")
 def cyclotomic_from_json(data) -> Cyclotomic:
-    try:
-        return Cyclotomic(_int_from_json(data["order"]),
-                          {_int_from_json(e): fraction_from_str(v) for e, v in data["terms"]})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad cyclotomic record: {exc}") from exc
+    return Cyclotomic(_int_from_json(data["order"]),
+                      _unique(((_int_from_json(e), fraction_from_str(v))
+                               for e, v in data["terms"]), "cyclotomic exponent"))
 
 
 def series_to_json(s: PuiseuxSeries) -> dict:
@@ -66,17 +96,13 @@ def series_to_json(s: PuiseuxSeries) -> dict:
             "truncation": None if s.truncation is None else fraction_to_str(s.truncation)}
 
 
+@_loader("series record")
 def series_from_json(data) -> PuiseuxSeries:
-    try:
-        terms = {Fraction(_int_from_json(t["num"]), _int_from_json(t["den"])):
-                 cyclotomic_from_json(t["coeff"])
-                 for t in data["terms"]}
-        trunc = data.get("truncation")
-        return PuiseuxSeries(terms, None if trunc is None else fraction_from_str(trunc))
-    except FormatError:
-        raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad series record: {exc}") from exc
+    terms = _unique(((Fraction(_int_from_json(t["num"]), _int_from_json(t["den"])),
+                      cyclotomic_from_json(t["coeff"]))
+                     for t in data["terms"]), "series exponent")
+    trunc = data.get("truncation")
+    return PuiseuxSeries(terms, None if trunc is None else fraction_from_str(trunc))
 
 
 def bivariate_to_json(b: BivariateSeries) -> dict:
@@ -85,15 +111,11 @@ def bivariate_to_json(b: BivariateSeries) -> dict:
                              for n, s in sorted(b.terms.items())]}
 
 
+@_loader("bivariate record")
 def bivariate_from_json(data) -> BivariateSeries:
-    try:
-        return BivariateSeries({_int_from_json(c["t"]): series_from_json(c["series"])
-                                for c in data["coefficients"]},
-                               _int_from_json(data["t_truncation"]))
-    except FormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad bivariate record: {exc}") from exc
+    return BivariateSeries(_unique(((_int_from_json(c["t"]), series_from_json(c["series"]))
+                                    for c in data["coefficients"]), "t-degree"),
+                           _int_from_json(data["t_truncation"]))
 
 
 # -- groups and elements -------------------------------------------------
@@ -111,27 +133,23 @@ def group_to_json(G: FiniteGroup) -> dict:
     return out
 
 
+@_loader("group record")
 def group_from_json(data, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteGroup:
-    try:
-        if "wreath" in data:
-            inner = group_from_json(data["wreath"]["base_group"], size_cap)
-            return wreath(inner, _int_from_json(data["wreath"]["copies"]), size_cap)
-        degree = _int_from_json(data["degree"])
-        if degree < 1:
-            raise FormatError(f"group degree must be positive, got {degree}")
-        gens = [tuple(_int_from_json(i) - 1 for i in g) for g in data["generators"]]
-        for g in gens:
-            if sorted(g) != list(range(degree)):
-                raise FormatError(f"not a permutation of 1..{degree}: {g}")
-        # a name is printed in messages, which stay one line
-        name = data.get("name")
-        if name is not None and not (isinstance(name, str) and name.isprintable()):
-            raise FormatError(f"bad group name {name!r}")
-        return permutation_group(degree, gens, name=name, size_cap=size_cap)
-    except (FormatError, SizeCapExceeded):
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad group record: {exc}") from exc
+    if "wreath" in data:
+        inner = group_from_json(data["wreath"]["base_group"], size_cap)
+        return wreath(inner, _int_from_json(data["wreath"]["copies"]), size_cap)
+    degree = _int_from_json(data["degree"])
+    if degree < 1:
+        raise FormatError(f"group degree must be positive, got {degree}")
+    gens = [tuple(_int_from_json(i) - 1 for i in g) for g in data["generators"]]
+    for g in gens:
+        if sorted(g) != list(range(degree)):
+            raise FormatError(f"not a permutation of 1..{degree}: {g}")
+    # a name is printed in messages, which stay one line
+    name = data.get("name")
+    if name is not None and not (isinstance(name, str) and name.isprintable()):
+        raise FormatError(f"bad group name {name!r}")
+    return permutation_group(degree, gens, name=name, size_cap=size_cap)
 
 
 def element_to_json(g):
@@ -143,23 +161,19 @@ def element_to_json(g):
     raise FormatError(f"cannot serialize element {g!r}")
 
 
+@_loader("element record")
 def element_from_json(data, group: FiniteGroup):
-    try:
-        if isinstance(data, dict):
-            if not isinstance(group, WreathGroup):
-                raise FormatError("wreath element given for a plain group")
-            base = tuple(element_from_json(x, group.base_group) for x in data["base"])
-            perm = tuple(_int_from_json(i) - 1 for i in data["perm"])
-            el = WreathElement(base, perm)
-        else:
-            el = tuple(_int_from_json(i) - 1 for i in data)
-        if el not in group:
-            raise FormatError(f"element {data!r} is not in the group")
-        return el
-    except FormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad element record: {exc}") from exc
+    if isinstance(data, dict):
+        if not isinstance(group, WreathGroup):
+            raise FormatError("wreath element given for a plain group")
+        base = tuple(element_from_json(x, group.base_group) for x in data["base"])
+        perm = tuple(_int_from_json(i) - 1 for i in data["perm"])
+        el = WreathElement(base, perm)
+    else:
+        el = tuple(_int_from_json(i) - 1 for i in data)
+    if el not in group:
+        raise FormatError(f"element {data!r} is not in the group")
+    return el
 
 
 # -- composite values -----------------------------------------------------
@@ -174,26 +188,20 @@ def devoto_to_json(x: DevotoElement) -> dict:
     return {"group": group_to_json(x.group), "level": x.level, "entries": entries}
 
 
+@_loader("element table")
 def devoto_from_json(data, group: FiniteGroup | None = None,
                      size_cap: int = DEFAULT_SIZE_CAP) -> DevotoElement:
-    try:
-        G = group if group is not None else group_from_json(data["group"], size_cap)
-        seen = set()
-        table = {}
-        for entry in data["entries"]:
-            g = element_from_json(entry["g"], G)
-            h = element_from_json(entry["h"], G)
-            if (g, h) in seen:
-                raise FormatError(f"duplicate entry for ({entry['g']}, {entry['h']})")
-            seen.add((g, h))
-            if G.mul(g, h) != G.mul(h, g):
-                raise FormatError(f"non-commuting entry ({entry['g']}, {entry['h']})")
-            table[(g, h)] = series_from_json(entry["series"])
-        return DevotoElement(G, table, _int_from_json(data.get("level", 1)))
-    except (FormatError, SizeCapExceeded):
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad element table: {exc}") from exc
+    G = group if group is not None else group_from_json(data["group"], size_cap)
+    table = {}
+    for entry in data["entries"]:
+        g = element_from_json(entry["g"], G)
+        h = element_from_json(entry["h"], G)
+        if (g, h) in table:
+            raise FormatError(f"duplicate entry for ({entry['g']}, {entry['h']})")
+        if G.mul(g, h) != G.mul(h, g):
+            raise FormatError(f"non-commuting entry ({entry['g']}, {entry['h']})")
+        table[(g, h)] = series_from_json(entry["series"])
+    return DevotoElement(G, table, _int_from_json(data.get("level", 1)))
 
 
 def repchar_to_json(chi) -> dict:
@@ -202,38 +210,25 @@ def repchar_to_json(chi) -> dict:
                        for g, v in sorted(chi.values.items())]}
 
 
+@_loader("character record")
 def repchar_from_json(data, group: FiniteGroup | None = None,
                       size_cap: int = DEFAULT_SIZE_CAP):
     from .characters import RepCharacter
 
-    try:
-        G = group if group is not None else group_from_json(data["group"], size_cap)
-        values = {element_from_json(v["class_rep"], G): cyclotomic_from_json(v["value"])
-                  for v in data["values"]}
-        return RepCharacter(G, values)
-    except (FormatError, SizeCapExceeded):
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad character record: {exc}") from exc
+    G = group if group is not None else group_from_json(data["group"], size_cap)
+    return RepCharacter(G, _unique(((element_from_json(v["class_rep"], G),
+                                     cyclotomic_from_json(v["value"]))
+                                    for v in data["values"]), "class representative"))
 
 
 def coeffs_to_json(c: dict[int, int]) -> dict:
     return {"coeffs": [{"i": i, "c": v} for i, v in sorted(c.items())]}
 
 
+@_loader("coefficient map")
 def coeffs_from_json(data) -> dict[int, int]:
-    try:
-        out = {}
-        for item in data["coeffs"]:
-            i, v = _int_from_json(item["i"]), _int_from_json(item["c"])
-            if i in out:
-                raise FormatError(f"duplicate coefficient index {i}")
-            out[i] = v
-        return out
-    except FormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad coefficient map: {exc}") from exc
+    return _unique(((_int_from_json(item["i"]), _int_from_json(item["c"]))
+                    for item in data["coeffs"]), "coefficient index")
 
 
 def dumps(value) -> str:

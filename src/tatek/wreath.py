@@ -88,9 +88,7 @@ class WreathGroup(FiniteGroup):
         mul, inv = wreath_ops(G, copies)
         e = WreathElement((G.identity,) * copies, identity_perm(copies))
         self._base_keys = None
-        super().__init__(elements, mul, inv, e,
-                         name=f"{G.name} wr S{copies}",
-                         check=size <= 20)
+        super().__init__(elements, mul, inv, e, name=f"{G.name} wr S{copies}", check=False)
 
     def _base_key_functions(self):
         """Keys of base-group classes and pair classes as element indices.

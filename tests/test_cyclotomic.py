@@ -171,6 +171,15 @@ def test_exactness_no_rounding():
     assert y.is_zero()
 
 
+def test_order_must_be_positive():
+    # a negative order used to fail with IndexError, and order 0 with a
+    # modulo by zero
+    for order in (0, -3):
+        for make in (lambda: Cyclotomic(order, {1: 1}), lambda: cyc_make(order, 1)):
+            with pytest.raises(ValueError, match="order must be positive"):
+                make()
+
+
 def test_reduce_to_rejects_values_outside_subfield():
     with pytest.raises(ValueError):
         cyc_make(4, 1).reduce_to(1)

@@ -47,6 +47,19 @@ def test_generation_rejects_malformed_and_oversize():
             make()
 
 
+def test_constructed_groups_satisfy_the_axioms():
+    # the constructors skip the runtime axiom check, so their output is
+    # checked here
+    nested = wreath(wreath(cyclic_group(2), 1), 2)
+    groups = [cyclic_group(1), cyclic_group(4), symmetric_group(3), trivial_group(),
+              permutation_group(4, [(1, 0, 2, 3), (0, 1, 3, 2)]), wreath(cyclic_group(2), 2),
+              wreath(trivial_group(), 3), nested, wreath(symmetric_group(3), 2),
+              direct_product(cyclic_group(2), symmetric_group(3))]
+    assert len(nested) == 8
+    for G in groups:
+        G._check_axioms()
+
+
 def test_conjugacy_data_s3():
     S3 = symmetric_group(3)
     reps = S3.class_representatives()

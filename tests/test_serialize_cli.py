@@ -8,12 +8,12 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tatek.cli import main as cli_main
 from tatek.cyclotomic import Cyclotomic, root_of_unity
 from tatek.devoto import DevotoElement, random_devoto_element
-from tatek.groups import cyclic_group, symmetric_group
+from tatek.groups import SizeCapExceeded, cyclic_group, symmetric_group
 from tatek.characters import RepCharacter
 from tatek.powerops import p_str
 from tatek.serialize import (FormatError, bivariate_from_json, bivariate_to_json,
@@ -122,6 +122,54 @@ def test_coeffs_roundtrip():
     assert coeffs_from_json(coeffs_to_json(c)) == c
     with pytest.raises(FormatError):
         coeffs_from_json({"coeffs": [{"i": 1, "c": 1}, {"i": 1, "c": 2}]})
+
+
+def test_loaders_reject_repeated_keys():
+    # a key given twice is an error, never a silently kept last value
+    one = {"order": 1, "terms": [[0, "1"]]}
+    series = series_to_json(PuiseuxSeries.one(3))
+    S3 = symmetric_group(3)
+    cases = [
+        (series_from_json, _series_record([(1, 1), (2, 2)], one), "duplicate series exponent 1"),
+        (cyclotomic_from_json, {"order": 3, "terms": [[1, "1"], [1, "2"]]},
+         "duplicate cyclotomic exponent 1"),
+        (bivariate_from_json, {"t_truncation": 3,
+                               "coefficients": [{"t": 1, "series": series}] * 2},
+         "duplicate t-degree 1"),
+        (lambda d: repchar_from_json(d, S3), {"values": [{"class_rep": [1, 2, 3],
+                                                          "value": one}] * 2},
+         "duplicate class representative (0, 1, 2)"),
+        (coeffs_from_json, {"coeffs": [{"i": 1, "c": 1}, {"i": 1, "c": 2}]},
+         "duplicate coefficient index 1"),
+    ]
+    for load, data, message in cases:
+        with pytest.raises(FormatError) as exc:
+            load(data)
+        assert str(exc.value) == message
+
+
+def test_nested_record_errors_keep_their_message():
+    # the innermost malformed record is named once, not wrapped by each
+    # enclosing loader
+    bad_rational = {"terms": [{"num": 1, "den": 1, "coeff": {"order": 3, "terms": [[1, "x"]]}}],
+                    "truncation": None}
+    table = devoto_to_json(DevotoElement.constant(symmetric_group(3), 1))
+    table["entries"][0]["series"]["terms"][0]["coeff"]["order"] = -3
+    bivariate = {"t_truncation": 2, "coefficients": [{"t": 0, "series": {"truncation": None}}]}
+    for load, data, message in [
+            (series_from_json, bad_rational, "bad rational 'x'"),
+            (devoto_from_json, table, "bad cyclotomic record: order must be positive"),
+            (bivariate_from_json, bivariate, "bad series record: 'terms'")]:
+        with pytest.raises(FormatError) as exc:
+            load(data)
+        assert str(exc.value) == message
+    # a group over the size cap is reported as such by every loader that embeds one
+    character = {"group": group_to_json(symmetric_group(3)), "values": []}
+    for load, data in [(devoto_from_json, table), (repchar_from_json, character),
+                       (group_from_json, character["group"])]:
+        with pytest.raises(SizeCapExceeded) as exc:
+            load(data, size_cap=5)
+        assert str(exc.value) == "size cap 5 exceeded"
 
 
 # -- CLI ------------------------------------------------------------------
@@ -278,6 +326,25 @@ def test_cli_input_errors_are_usage_errors(tmp_path):
     float_c = tmp_path / "float_c.json"
     float_c.write_text(json.dumps({"coeffs": [{"i": 1, "c": 1.7}]}))
     cases.append(("dmvv", "--coeffs", str(float_c), "--t-order", "2", "--q-order", "2"))
+    # a repeated exponent is not silently overwritten, and a coefficient
+    # order below 1 is a bad record, not an internal error
+    for name, payload in {
+            "dup_exponent": _series_record([(1, 1), (2, 2)], {"order": 1, "terms": [[0, "1"]]}),
+            "negative_order": _series_record([(1, 1)], {"order": -3, "terms": [[1, "1"]]})}.items():
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(payload))
+        cases += [(cmd, "--n", "2", "--input", str(f)) for cmd in ("hecke", "sym", "powerop")]
+    # a valid group record nested past the interpreter's stack, read as
+    # --group; 150 levels still load
+    deep_group = {"degree": 2, "generators": [[2, 1]]}
+    for depth in range(1, 401):
+        deep_group = {"wreath": {"base_group": deep_group, "copies": 1}}
+        if depth in (150, 400):
+            f = tmp_path / f"wreath{depth}.json"
+            f.write_text(json.dumps(deep_group))
+    cases.append(("epsilon", "--input", str(half), "--group", str(tmp_path / "wreath400.json")))
+    assert run_cli("epsilon", "--input", str(half),
+                   "--group", str(tmp_path / "wreath150.json")).returncode == 0
     for argv in cases:
         out = run_cli(*argv)
         assert out.returncode == 2, argv
@@ -362,34 +429,52 @@ _GROUP_COMMANDS = [("hecke",), ("sym", "--method", "exp"), ("sym", "--method", "
                    ("powerop",), ("epsilon",)]
 
 
-@given(data=st.data())
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-def test_cli_malformed_json_exits_cleanly(data, tmp_path, capsys):
-    # every subcommand that reads JSON, on malformed or near-valid input:
-    # no exception escapes, and a usage error is one line on stderr
-    path, other = tmp_path / "in.json", tmp_path / "group.json"
-    kind = data.draw(st.sampled_from(["group", "faber", "replicable", "dmvv"]))
-    n = str(data.draw(st.integers(0, 3)))
+@st.composite
+def _cli_calls(draw):
+    """A subcommand that reads JSON, as its argv without the file flags and
+    a map from each file flag to the JSON value to pass through it."""
+    kind = draw(st.sampled_from(["group", "faber", "replicable", "dmvv"]))
+    n = str(draw(st.integers(0, 3)))
     if kind == "group":
-        command = data.draw(st.sampled_from(_GROUP_COMMANDS))
-        argv = [*command, "--input", str(path)] + ([] if command == ("epsilon",) else ["--n", n])
-        payload = data.draw(_either(_json_values, _series, _table))
-        if data.draw(st.booleans()):
-            other.write_text(json.dumps(data.draw(_either(_json_values, _group))))
-            argv += ["--group", str(other)]
+        command = draw(st.sampled_from(_GROUP_COMMANDS))
+        argv = [*command] + ([] if command == ("epsilon",) else ["--n", n])
+        files = {"--input": draw(_either(_json_values, _series, _table))}
+        if draw(st.booleans()):
+            files["--group"] = draw(_either(_json_values, _group))
     elif kind == "dmvv":
-        argv = ["dmvv", "--coeffs", str(path), "--t-order", n, "--q-order", "2"]
-        payload = data.draw(_either(_json_values, _coeffs))
+        argv = ["dmvv", "--t-order", n, "--q-order", "2"]
+        files = {"--coeffs": draw(_either(_json_values, _coeffs))}
     else:
         argv = (["faber", "--n", n] if kind == "faber"
-                else ["replicable", "--nmax", n, "--order", "2"]) + ["--input", str(path)]
-        payload = data.draw(_either(_json_values, _series))
-    path.write_text(json.dumps(payload))
+                else ["replicable", "--nmax", n, "--order", "2"])
+        files = {"--input": draw(_either(_json_values, _series))}
+    return argv, files
+
+
+def _series_record(exponents, coeff):
+    return {"terms": [{"num": num, "den": den, "coeff": coeff} for num, den in exponents],
+            "truncation": "3"}
+
+
+@given(call=_cli_calls())
+@example(call=(["hecke", "--n", "2"], {"--input": _series_record(
+    [(1, 1)], {"order": -3, "terms": [[1, "1"]]})}))
+@example(call=(["sym", "--n", "2", "--method", "exp"], {"--input": _series_record(
+    [(1, 1), (2, 2)], {"order": 1, "terms": [[0, "1"]]})}))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+def test_cli_malformed_json_exits_cleanly(call, tmp_path, capsys):
+    # every subcommand that reads JSON, on malformed or near-valid input:
+    # no exception escapes, and a usage error is one line on stderr
+    argv, files = call
+    for flag, payload in files.items():
+        path = tmp_path / f"{flag[2:]}.json"
+        path.write_text(json.dumps(payload))
+        argv = [*argv, flag, str(path)]
     capsys.readouterr()
     code = cli_main(argv + ["--size-cap", "50"])
     out, err = capsys.readouterr()
-    assert code in (0, 1, 2), (argv, payload, err)
+    assert code in (0, 1, 2), (argv, files, err)
     if code == 2:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
