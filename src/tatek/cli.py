@@ -48,7 +48,7 @@ def _load_series_or_element(args, size_cap: int):
         group = group_from_json(_read_json(args.group), size_cap)
     if isinstance(data, dict) and "entries" in data:
         return devoto_from_json(data, group=group, size_cap=size_cap)
-    series = series_from_json(data)
+    series = series_from_json(data, size_cap)
     if group is None:
         return series
     return DevotoElement.constant(group, series)
@@ -79,7 +79,7 @@ def _input_mckay(args) -> McKayThompson:
         return jseries(args.j_order)
     if not args.input:
         raise FormatError("either --input or --j is required")
-    return McKayThompson(series_from_json(_read_json(args.input)))
+    return McKayThompson(series_from_json(_read_json(args.input), args.size_cap))
 
 
 def cmd_faber(args) -> int:

@@ -3,9 +3,20 @@ replicability, and the Borcherds/DMVV product identities.
 
 The j-coefficients are never hardcoded: `jseries` expands E4^3 over the
 discriminant, and everything downstream (Faber polynomials, Hecke
-comparisons, the denominator formula) consumes that expansion. The
-Borcherds product and the exp-of-Hecke generating series are computed by
-disjoint code paths, so their comparison is a genuine identity check.
+comparisons, the denominator formula) consumes that expansion.
+
+Each identity check puts two independently computed sides against each
+other:
+- `jseries` builds Delta/q as the exp of -24 sum sigma_1(n) q^n / n and
+  inverts it by the series recurrences; `jseries_consistency` builds
+  Delta = q prod (1 - q^n)^24 on an integer array, one binomial factor at
+  a time, and checks Delta * j = E4^3.
+- `dmvv_check` takes the t-adic exp of the Hecke generating series; the
+  Borcherds product multiplies the binomials (1 - q^i t^j)^(-c(ij)) into
+  an integer grid in place.
+The product sides use no series exp, log or inverse and no Hecke code,
+and `hecke_scalar`'s closed form shares nothing with them, so each
+agreement is a genuine identity check.
 """
 
 from __future__ import annotations
@@ -93,19 +104,40 @@ def jseries_consistency(order: int) -> ComparisonReport:
     the sigma_1 series that `jseries` uses."""
     T = order + 1
     e4 = PuiseuxSeries({0: 1, **{n: 240 * _sigma(3, n) for n in range(1, T + 1)}}, T)
-    delta = PuiseuxSeries.one(T)
-    for n in range(1, T + 1):
-        f = PuiseuxSeries({0: 1, n: -1}, T)
-        p = PuiseuxSeries.one(T)
-        for _ in range(24):
-            p = p * f
-        delta = delta * p
-    delta = delta * PuiseuxSeries.monomial(1, 1)
-    lhs = delta * (jseries(order).series + 744)
+    lhs = _delta(T) * (jseries(order).series + 744)
     rhs = e4 * e4 * e4
     if lhs.agrees_with(rhs):
         return ComparisonReport(True, None)
     return ComparisonReport(False, "Delta * j differs from E4^3")
+
+
+def _times_binomial(a: list[list[int]], i: int, j: int, e: int) -> None:
+    """Multiply the grid a[n][b], the coefficient of t^n q^b, in place by
+    (1 - q^i t^j)^e, for (i, j) != (0, 0); what falls outside the grid is
+    dropped. Each factor (1 - q^i t^j) is a pass a[n][b] -= a[n-j][b-i] in
+    descending (n, b), so every read is still old; each inverse factor, a
+    geometric series, is a pass += in ascending (n, b), so every read is
+    already new."""
+    rows = range(j, len(a))
+    for _ in range(abs(e)):
+        if e > 0:
+            for n in reversed(rows):
+                row, src = a[n], a[n - j]
+                for b in range(len(row) - 1, i - 1, -1):
+                    row[b] -= src[b - i]
+        else:
+            for n in rows:
+                row, src = a[n], a[n - j]
+                for b in range(i, len(row)):
+                    row[b] += src[b - i]
+
+
+def _delta(T: int) -> PuiseuxSeries:
+    """Delta = q prod_{n=1..T} (1 - q^n)^24, known to q^(T+1)."""
+    grid = [[1] + [0] * T]
+    for n in range(1, T + 1):
+        _times_binomial(grid, n, 0, 24)
+    return PuiseuxSeries({b + 1: c for b, c in enumerate(grid[0])}, T + 1)
 
 
 # -- Faber polynomials ----------------------------------------------------
@@ -227,20 +259,18 @@ def faber_normal_form_check(F: McKayThompson, n_max: int) -> ComparisonReport:
 
 def borcherds_product(c: Mapping[int, int], t_order: int, q_order: int) -> BivariateSeries:
     """The double product over i >= 0, j >= 1 of (1 - q^i t^j) to the
-    power -c(i*j), expanded exactly to the given bi-orders."""
-    out = BivariateSeries.one(t_order) * PuiseuxSeries.one(Fraction(q_order))
+    power -c(i*j), for integer c. Every t-degree 0..t_order is present and
+    known exactly to q^q_order: factors with i > q_order or j > t_order
+    change nothing below those orders."""
+    grid = [[0] * (q_order + 1) for _ in range(t_order + 1)]
+    grid[0][0] = 1
     for j in range(1, t_order + 1):
         for i in range(0, q_order + 1):
             e = c.get(i * j, 0)
-            if not e:
-                continue
-            base = BivariateSeries({0: PuiseuxSeries.one(Fraction(q_order)),
-                                    j: PuiseuxSeries.monomial(-1, i, Fraction(q_order))},
-                                   t_order)
-            factor = base.inv() if e > 0 else base
-            for _ in range(abs(e)):
-                out = out * factor
-    return out
+            if e:
+                _times_binomial(grid, i, j, -e)
+    return BivariateSeries({n: PuiseuxSeries(dict(enumerate(row)), q_order)
+                            for n, row in enumerate(grid)}, t_order)
 
 
 def _first_bivariate_witness(a: BivariateSeries, b: BivariateSeries, t_order: int,

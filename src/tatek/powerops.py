@@ -150,11 +150,47 @@ def hecke_T(x: DevotoElement, n: int) -> DevotoElement:
 
 
 def hecke_scalar(s: PuiseuxSeries, n: int) -> PuiseuxSeries:
-    """Hecke operator on a bare q-series (the trivial-group case)."""
+    """Hecke operator on a bare q-series (the trivial-group case): 1/n
+    times the sum of the substituted series over the transitive classes
+    (N, k, m) of degree n.
+
+    When every exponent is integral and every coefficient rational, the
+    sum over m collapses, since sum_{m<k} zeta_k^(m e) is k when k | e and
+    0 otherwise. This gives the classical coefficient formula (Serre, A
+    Course in Arithmetic, VII.5)
+
+        T_n s = (1/n) sum_{N k = n} k sum_{k | e} c_e q^(e N / k),
+
+    which is computed on Fractions with no root of unity. The result is
+    known to the least trunc * N / k, as the substitution sum records it.
+    A fractional exponent or a cyclotomic coefficient takes the
+    substitution sum itself, which may store a cyclotomic result at a
+    larger order than its value needs.
+    """
+    if s.is_integral() and all(c.order == 1 for c in s.terms.values()):
+        return _hecke_integral(s, n)
     total = PuiseuxSeries.zero()
     for N, k, m in transitive_classes(n):
         total = total + hecke_substitute(s, N, k, m)
     return total * Fraction(1, n)
+
+
+def _hecke_integral(s: PuiseuxSeries, n: int) -> PuiseuxSeries:
+    """`hecke_scalar` by the closed form, for integral exponents and
+    rational coefficients."""
+    if n < 1:
+        raise ValueError("degree must be positive")
+    classes = [(n // k, k) for k in range(1, n + 1) if n % k == 0]
+    trunc = None if s.truncation is None else min(s.truncation * N / k for N, k in classes)
+    terms = [(int(e), c.as_fraction()) for e, c in s.terms.items()]
+    out: dict[int, Fraction] = {}
+    for N, k in classes:
+        for e, c in terms:
+            if e % k == 0:
+                x = e // k * N
+                if trunc is None or x <= trunc:
+                    out[x] = out.get(x, 0) + k * c
+    return PuiseuxSeries({x: c / n for x, c in out.items()}, trunc)
 
 
 def sym_str(x: DevotoElement, n: int, method: str = "exp",

@@ -9,7 +9,8 @@ its keys and terms so identical values produce identical bytes.
 
 Every loader fails the same way: one `FormatError` naming the innermost
 malformed record, and a key given twice in one record is rejected, never
-overwritten.
+overwritten. A group or a cyclotomic order over the size cap is refused
+with `SizeCapExceeded` before anything is built.
 """
 
 from __future__ import annotations
@@ -83,10 +84,14 @@ def cyclotomic_to_json(c: Cyclotomic) -> dict:
 
 
 @_loader("cyclotomic record")
-def cyclotomic_from_json(data) -> Cyclotomic:
-    return Cyclotomic(_int_from_json(data["order"]),
-                      _unique(((_int_from_json(e), fraction_from_str(v))
-                               for e, v in data["terms"]), "cyclotomic exponent"))
+def cyclotomic_from_json(data, size_cap: int = DEFAULT_SIZE_CAP) -> Cyclotomic:
+    # a value over a group within the cap has an order dividing the
+    # group's exponent, so a larger order is refused before Phi_N is built
+    order = _int_from_json(data["order"])
+    if order > size_cap:
+        raise SizeCapExceeded(f"cyclotomic order {order} exceeds size cap {size_cap}")
+    return Cyclotomic(order, _unique(((_int_from_json(e), fraction_from_str(v))
+                                      for e, v in data["terms"]), "cyclotomic exponent"))
 
 
 def series_to_json(s: PuiseuxSeries) -> dict:
@@ -97,9 +102,9 @@ def series_to_json(s: PuiseuxSeries) -> dict:
 
 
 @_loader("series record")
-def series_from_json(data) -> PuiseuxSeries:
+def series_from_json(data, size_cap: int = DEFAULT_SIZE_CAP) -> PuiseuxSeries:
     terms = _unique(((Fraction(_int_from_json(t["num"]), _int_from_json(t["den"])),
-                      cyclotomic_from_json(t["coeff"]))
+                      cyclotomic_from_json(t["coeff"], size_cap))
                      for t in data["terms"]), "series exponent")
     trunc = data.get("truncation")
     return PuiseuxSeries(terms, None if trunc is None else fraction_from_str(trunc))
@@ -112,8 +117,9 @@ def bivariate_to_json(b: BivariateSeries) -> dict:
 
 
 @_loader("bivariate record")
-def bivariate_from_json(data) -> BivariateSeries:
-    return BivariateSeries(_unique(((_int_from_json(c["t"]), series_from_json(c["series"]))
+def bivariate_from_json(data, size_cap: int = DEFAULT_SIZE_CAP) -> BivariateSeries:
+    return BivariateSeries(_unique(((_int_from_json(c["t"]),
+                                     series_from_json(c["series"], size_cap))
                                     for c in data["coefficients"]), "t-degree"),
                            _int_from_json(data["t_truncation"]))
 
@@ -200,7 +206,7 @@ def devoto_from_json(data, group: FiniteGroup | None = None,
             raise FormatError(f"duplicate entry for ({entry['g']}, {entry['h']})")
         if G.mul(g, h) != G.mul(h, g):
             raise FormatError(f"non-commuting entry ({entry['g']}, {entry['h']})")
-        table[(g, h)] = series_from_json(entry["series"])
+        table[(g, h)] = series_from_json(entry["series"], size_cap)
     return DevotoElement(G, table, _int_from_json(data.get("level", 1)))
 
 
@@ -216,9 +222,13 @@ def repchar_from_json(data, group: FiniteGroup | None = None,
     from .characters import RepCharacter
 
     G = group if group is not None else group_from_json(data["group"], size_cap)
-    return RepCharacter(G, _unique(((element_from_json(v["class_rep"], G),
-                                     cyclotomic_from_json(v["value"]))
-                                    for v in data["values"]), "class representative"))
+    values = {}
+    for v in data["values"]:
+        g = element_from_json(v["class_rep"], G)
+        if g in values:  # named as written, like a repeated table entry
+            raise FormatError(f"duplicate class representative {v['class_rep']}")
+        values[g] = cyclotomic_from_json(v["value"], size_cap)
+    return RepCharacter(G, values)
 
 
 def coeffs_to_json(c: dict[int, int]) -> dict:

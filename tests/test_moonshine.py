@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from tatek.moonshine import (InsufficientTruncation, McKayThompson, adams,
-                             borcherds_product, denominator_check, dmvv_check,
+from tatek.moonshine import (InsufficientTruncation, McKayThompson, _delta, _times_binomial,
+                             adams, borcherds_product, denominator_check, dmvv_check,
                              evaluate_poly, faber, faber_normal_form_check, jseries,
                              jseries_consistency, replicability_check)
 from tatek.groups import cyclic_group
@@ -116,6 +116,71 @@ def test_borcherds_product_examples():
     partition = [1, 1, 2, 3, 5, 7]
     for n, p in enumerate(partition):
         assert parts.coefficient(n).coefficient(0).as_fraction() == p
+
+
+def _generic_borcherds(c, t_order, q_order):
+    """The Borcherds product by bivariate series products, one factor
+    (1 - q^i t^j) or its t-adic inverse at a time: the oracle for the
+    integer grid of borcherds_product."""
+    out = BivariateSeries.one(t_order) * PuiseuxSeries.one(Fraction(q_order))
+    for j in range(1, t_order + 1):
+        for i in range(0, q_order + 1):
+            e = c.get(i * j, 0)
+            if not e:
+                continue
+            base = BivariateSeries({0: PuiseuxSeries.one(Fraction(q_order)),
+                                    j: PuiseuxSeries.monomial(-1, i, Fraction(q_order))},
+                                   t_order)
+            factor = base.inv() if e > 0 else base
+            for _ in range(abs(e)):
+                out = out * factor
+    return out
+
+
+def _generic_delta(T):
+    """q prod_{n<=T} (1 - q^n)^24 by 24-fold repeated series products."""
+    delta = PuiseuxSeries.one(T)
+    for n in range(1, T + 1):
+        f = PuiseuxSeries({0: 1, n: -1}, T)
+        p = PuiseuxSeries.one(T)
+        for _ in range(24):
+            p = p * f
+        delta = delta * p
+    return delta * PuiseuxSeries.monomial(1, 1)
+
+
+def _all_fractions(s):
+    return all(type(v) is Fraction for c in s.terms.values() for v in c.terms.values())
+
+
+def test_borcherds_grid_matches_generic_product():
+    rng = random.Random(5)
+    for _ in range(60):
+        t_order, q_order = rng.randint(1, 6), rng.randint(1, 10)
+        c = {i: rng.randint(-2, 2) for i in range(t_order * q_order + 1)}
+        fast, slow = borcherds_product(c, t_order, q_order), _generic_borcherds(c, t_order, q_order)
+        assert fast.t_truncation == t_order and sorted(fast.terms) == list(range(t_order + 1))
+        for n in range(t_order + 1):
+            x = fast.coefficient(n)
+            assert x.truncation == q_order and _all_fractions(x)
+            assert x.agrees_with(slow.coefficient(n), up_to=q_order), (c, t_order, q_order, n)
+
+
+def test_integer_delta_equals_generic_product():
+    for T in range(1, 31):
+        delta = _delta(T)
+        assert delta == _generic_delta(T), T
+        assert _all_fractions(delta)
+
+
+def test_binomial_update_inverts():
+    rng = random.Random(8)
+    grid = [[rng.randint(-9, 9) for _ in range(7)] for _ in range(4)]
+    for i, j, e in ((0, 1, 2), (2, 0, 3), (1, 2, -1), (3, 0, -2), (0, 3, 1)):
+        before = [row[:] for row in grid]
+        _times_binomial(grid, i, j, e)
+        _times_binomial(grid, i, j, -e)
+        assert grid == before, (i, j, e)
 
 
 def test_borcherds_log_linearity():

@@ -5,15 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tatek.cyclotomic import Cyclotomic
+from tatek.cyclotomic import Cyclotomic, root_of_unity
 from tatek.devoto import (DevotoElement, check_devoto, external_product,
                           random_devoto_element, restrict_along)
 from tatek.groups import cyclic_group, direct_product, symmetric_group, trivial_group
 from tatek.powerops import (compare_class_functions, hecke_T, hecke_scalar,
                             lambda_str_total, p_str, p_top_eval, s_top_total, sym_str,
                             sym_total, transitive_classes, verify_iterated)
-from tatek.serialize import devoto_to_json, dumps
+from tatek.serialize import devoto_to_json, dumps, series_to_json
 from tatek.series import BivariateSeries, PuiseuxSeries, hecke_substitute
 from tatek.wreath import (OrbitConvention, WreathElement, block_sum_hom, orbit_data,
                           unzip_hom, wreath)
@@ -170,6 +171,61 @@ def test_hecke_leading_term_on_pole():
         v = hecke_scalar(s, n) * n
         low = {e: c for e, c in v.terms.items() if e <= 0}
         assert low == {Fraction(-n): Cyclotomic.one()}
+
+
+def _hecke_by_substitution(s, n):
+    """The substitution sum that the closed form of hecke_scalar replaces."""
+    total = PuiseuxSeries.zero()
+    for N, k, m in transitive_classes(n):
+        total = total + hecke_substitute(s, N, k, m)
+    return total * Fraction(1, n)
+
+
+def _same_bytes(a, b):
+    return repr(a) == repr(b) and dumps(series_to_json(a)) == dumps(series_to_json(b))
+
+
+@st.composite
+def integral_series(draw):
+    """Integral exponents (negatives too), rational coefficients, and a
+    truncation that may be None, negative or fractional; often zero."""
+    terms = draw(st.dictionaries(st.integers(-6, 24),
+                                 st.fractions(min_value=-5, max_value=5, max_denominator=4),
+                                 max_size=6))
+    trunc = draw(st.none() | st.fractions(min_value=-8, max_value=30, max_denominator=3))
+    return PuiseuxSeries(terms, trunc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integral_series(), st.integers(1, 12))
+def test_hecke_closed_form_matches_substitution_sum(s, n):
+    assert _same_bytes(hecke_scalar(s, n), _hecke_by_substitution(s, n))
+
+
+def test_hecke_closed_form_edge_cases():
+    for s in (PuiseuxSeries.zero(), PuiseuxSeries.zero(Fraction(-7, 2)),
+              PuiseuxSeries({-1: 1, 3: Fraction(2, 3)}), PuiseuxSeries({-4: 1, 6: -2}, -3)):
+        for n in range(1, 13):
+            assert _same_bytes(hecke_scalar(s, n), _hecke_by_substitution(s, n))
+    with pytest.raises(ValueError):
+        hecke_scalar(PuiseuxSeries.one(4), 0)
+
+
+def test_hecke_outside_the_closed_form_keeps_the_substitution_sum():
+    # a fractional exponent, or a cyclotomic coefficient (whose sum may be
+    # stored at a larger order), takes the substitution sum unchanged
+    for s in (PuiseuxSeries({Fraction(1, 2): 1, 2: 3}, 6),
+              PuiseuxSeries({-1: 1, 1: root_of_unity(3, 1), 4: 2}, 9),
+              PuiseuxSeries({2: root_of_unity(4, 1)}, 8)):
+        for n in range(1, 9):
+            assert _same_bytes(hecke_scalar(s, n), _hecke_by_substitution(s, n))
+
+
+def test_hecke_closed_form_coefficients_are_fractions():
+    s = PuiseuxSeries({-1: 1, 0: Fraction(-1, 3), 2: 5, 6: Fraction(7, 2)}, 20)
+    for n in range(1, 9):
+        for c in hecke_scalar(s, n).terms.values():
+            assert c.order == 1 and all(type(v) is Fraction for v in c.terms.values())
 
 
 # -- symmetric powers -------------------------------------------------------

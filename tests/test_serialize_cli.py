@@ -138,7 +138,7 @@ def test_loaders_reject_repeated_keys():
          "duplicate t-degree 1"),
         (lambda d: repchar_from_json(d, S3), {"values": [{"class_rep": [1, 2, 3],
                                                           "value": one}] * 2},
-         "duplicate class representative (0, 1, 2)"),
+         "duplicate class representative [1, 2, 3]"),
         (coeffs_from_json, {"coeffs": [{"i": 1, "c": 1}, {"i": 1, "c": 2}]},
          "duplicate coefficient index 1"),
     ]
@@ -170,6 +170,27 @@ def test_nested_record_errors_keep_their_message():
         with pytest.raises(SizeCapExceeded) as exc:
             load(data, size_cap=5)
         assert str(exc.value) == "size cap 5 exceeded"
+
+
+def test_cyclotomic_order_is_capped():
+    # an input order above the size cap is refused before Phi_N is built,
+    # by every loader that reads a cyclotomic record
+    big = {"order": 30, "terms": [[1, "1"]]}
+    series = {"terms": [{"num": 1, "den": 1, "coeff": big}], "truncation": None}
+    table = devoto_to_json(DevotoElement.constant(symmetric_group(3), 1))
+    table["entries"][0]["series"] = series
+    character = {"group": group_to_json(symmetric_group(3)),
+                 "values": [{"class_rep": [1, 2, 3], "value": big}]}
+    for load, data in [(cyclotomic_from_json, big), (series_from_json, series),
+                       (bivariate_from_json, {"t_truncation": 1,
+                                              "coefficients": [{"t": 0, "series": series}]}),
+                       (devoto_from_json, table), (repchar_from_json, character)]:
+        with pytest.raises(SizeCapExceeded) as exc:
+            load(data, size_cap=29)
+        assert str(exc.value) == "cyclotomic order 30 exceeds size cap 29"
+        load(data, size_cap=30)
+    with pytest.raises(SizeCapExceeded):
+        cyclotomic_from_json({"order": 10 ** 8, "terms": [[1, "1"]]})
 
 
 # -- CLI ------------------------------------------------------------------
@@ -334,6 +355,12 @@ def test_cli_input_errors_are_usage_errors(tmp_path):
         f = tmp_path / f"{name}.json"
         f.write_text(json.dumps(payload))
         cases += [(cmd, "--n", "2", "--input", str(f)) for cmd in ("hecke", "sym", "powerop")]
+    # a coefficient order above the size cap exits 2 at once, instead of
+    # building Phi_N for seconds (10^5) or running out of memory (10^8)
+    for order in (100000, 10 ** 8):
+        f = tmp_path / f"order{order}.json"
+        f.write_text(json.dumps(_series_record([(1, 1)], {"order": order, "terms": [[1, "1"]]})))
+        cases.append(("hecke", "--n", "2", "--input", str(f)))
     # a valid group record nested past the interpreter's stack, read as
     # --group; 150 levels still load
     deep_group = {"degree": 2, "generators": [[2, 1]]}

@@ -398,11 +398,9 @@ def test_bivariate_recurrences_match_geometric_on_hecke_series(group_maker):
 
 
 def test_bivariate_recurrences_refine_geometric_on_borcherds_products():
-    # the shapes of the moonshine checks, with a t^0 coefficient 1 + O(q^T).
-    # Most results are byte-identical. Where they are not, the recurrence
-    # records a higher q-truncation (the loops multiply by the zero
-    # O(q^T) left in t^0 as if it had valuation 0), or 0 + O(q^T) for a
-    # t-degree the loops know to be exactly zero.
+    # the shapes of the moonshine checks, with a t^0 coefficient 1 + O(q^T)
+    # and every t-degree known to exactly q^T; the recurrences and the
+    # loops agree byte for byte on all of them
     rng = random.Random(11)
     same = 0
     for t_order in range(1, 5):
@@ -423,7 +421,7 @@ def test_bivariate_recurrences_refine_geometric_on_borcherds_products():
                             assert x.truncation >= y.truncation
                     if op == "log":
                         assert got.terms[0] == PuiseuxSeries.zero(q_order)
-    assert same == 119  # of 120; the other inverse records a higher truncation
+    assert same == 120  # of 120
 
 
 @st.composite
